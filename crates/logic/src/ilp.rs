@@ -10,7 +10,9 @@
 //! 3. branch-and-bound over the exact rational simplex relaxation.
 //!
 //! The branch-and-bound search is budgeted; exceeding the budget yields
-//! [`IlpResult::Unknown`], which callers treat conservatively.
+//! [`IlpResult::Unknown`], which callers treat conservatively. So does a
+//! step whose `i64` arithmetic would overflow: the solver abstains rather
+//! than wrap.
 
 use crate::rational::Rational;
 use crate::simplex::{LpRel, Simplex};
@@ -45,11 +47,17 @@ impl Constraint {
     }
 
     fn eval(&self, point: &[i64]) -> bool {
-        let lhs: i64 = self.coeffs.iter().zip(point).map(|(c, v)| c * v).sum();
+        let lhs: i128 = self
+            .coeffs
+            .iter()
+            .zip(point)
+            .map(|(&c, &v)| i128::from(c) * i128::from(v))
+            .sum();
+        let rhs = i128::from(self.rhs);
         match self.rel {
-            LpRel::Le => lhs <= self.rhs,
-            LpRel::Ge => lhs >= self.rhs,
-            LpRel::Eq => lhs == self.rhs,
+            LpRel::Le => lhs <= rhs,
+            LpRel::Ge => lhs >= rhs,
+            LpRel::Eq => lhs == rhs,
         }
     }
 }
@@ -61,7 +69,8 @@ pub enum IlpResult {
     Sat(Vec<i64>),
     /// No integer point satisfies the constraints.
     Unsat,
-    /// The search budget was exhausted before a decision was reached.
+    /// The search budget was exhausted, or a step would overflow `i64`,
+    /// before a decision was reached.
     Unknown,
 }
 
@@ -91,8 +100,10 @@ struct Substitution {
     constant: i64,
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+/// A step of the decision procedure would overflow `i64`.
+struct Overflow;
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -101,13 +112,19 @@ fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-fn div_floor(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    if a >= 0 {
-        a / b
-    } else {
-        -((-a + b - 1) / b)
-    }
+/// `a · b`, or [`Overflow`].
+fn mul(a: i64, b: i64) -> Result<i64, Overflow> {
+    a.checked_mul(b).ok_or(Overflow)
+}
+
+/// `a + b`, or [`Overflow`].
+fn add(a: i64, b: i64) -> Result<i64, Overflow> {
+    a.checked_add(b).ok_or(Overflow)
+}
+
+/// `-a`, or [`Overflow`].
+fn neg(a: i64) -> Result<i64, Overflow> {
+    a.checked_neg().ok_or(Overflow)
 }
 
 impl IlpProblem {
@@ -143,42 +160,39 @@ impl IlpProblem {
 
     /// Decides integer feasibility.
     pub fn solve(&self) -> IlpResult {
+        self.try_solve().unwrap_or(IlpResult::Unknown)
+    }
+
+    fn try_solve(&self) -> Result<IlpResult, Overflow> {
         // Work on a normalised copy: only Le and Eq constraints.
         let mut cons: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
         for c in &self.constraints {
             match c.rel {
                 LpRel::Le | LpRel::Eq => cons.push(c.clone()),
                 LpRel::Ge => cons.push(Constraint::new(
-                    c.coeffs.iter().map(|x| -x).collect(),
+                    c.coeffs.iter().map(|&x| neg(x)).collect::<Result<_, _>>()?,
                     LpRel::Le,
-                    -c.rhs,
+                    neg(c.rhs)?,
                 )),
             }
         }
 
         let mut substitutions: Vec<Substitution> = Vec::new();
-        match self.preprocess(&mut cons, &mut substitutions) {
-            Some(false) => return IlpResult::Unsat,
-            Some(true) => {
-                // all constraints trivially satisfied — any point works
-                let mut point = vec![0i64; self.num_vars];
-                Self::apply_substitutions(&mut point, &substitutions);
-                return IlpResult::Sat(point);
-            }
-            None => {}
-        }
-
-        match self.branch_and_bound(&cons) {
-            IlpResult::Sat(mut point) => {
-                Self::apply_substitutions(&mut point, &substitutions);
-                debug_assert!(
-                    self.constraints.iter().all(|c| c.eval(&point)),
-                    "internal error: reconstructed point violates constraints"
-                );
-                IlpResult::Sat(point)
-            }
-            other => other,
-        }
+        let mut point = match self.preprocess(&mut cons, &mut substitutions)? {
+            Some(false) => return Ok(IlpResult::Unsat),
+            // all constraints trivially satisfied — any point works
+            Some(true) => vec![0i64; self.num_vars],
+            None => match self.branch_and_bound(&cons) {
+                IlpResult::Sat(point) => point,
+                other => return Ok(other),
+            },
+        };
+        Self::apply_substitutions(&mut point, &substitutions)?;
+        debug_assert!(
+            self.constraints.iter().all(|c| c.eval(&point)),
+            "internal error: reconstructed point violates constraints"
+        );
+        Ok(IlpResult::Sat(point))
     }
 
     /// Simplifies constraints in place. Returns `Some(false)` when a
@@ -188,7 +202,7 @@ impl IlpProblem {
         &self,
         cons: &mut Vec<Constraint>,
         substitutions: &mut Vec<Substitution>,
-    ) -> Option<bool> {
+    ) -> Result<Option<bool>, Overflow> {
         loop {
             // constant folding and GCD normalisation
             let mut i = 0;
@@ -198,20 +212,19 @@ impl IlpProblem {
                         cons.swap_remove(i);
                         continue;
                     } else {
-                        return Some(false);
+                        return Ok(Some(false));
                     }
                 }
                 let g = cons[i]
                     .coeffs
                     .iter()
-                    .copied()
-                    .filter(|&c| c != 0)
-                    .fold(0, gcd);
+                    .fold(0, |g, c| gcd(g, c.unsigned_abs()));
+                let g = i64::try_from(g).map_err(|_| Overflow)?;
                 if g > 1 {
                     match cons[i].rel {
                         LpRel::Eq => {
                             if cons[i].rhs % g != 0 {
-                                return Some(false);
+                                return Ok(Some(false));
                             }
                             for c in cons[i].coeffs.iter_mut() {
                                 *c /= g;
@@ -222,7 +235,7 @@ impl IlpProblem {
                             for c in cons[i].coeffs.iter_mut() {
                                 *c /= g;
                             }
-                            cons[i].rhs = div_floor(cons[i].rhs, g);
+                            cons[i].rhs = cons[i].rhs.div_euclid(g);
                         }
                         LpRel::Ge => unreachable!("normalised away"),
                     }
@@ -235,7 +248,7 @@ impl IlpProblem {
                 .iter()
                 .position(|c| c.rel == LpRel::Eq && c.coeffs.iter().any(|&a| a == 1 || a == -1));
             let Some(idx) = target else {
-                return if cons.is_empty() { Some(true) } else { None };
+                return Ok(if cons.is_empty() { Some(true) } else { None });
             };
             let eq = cons.swap_remove(idx);
             let var = eq
@@ -248,10 +261,10 @@ impl IlpProblem {
             let mut sub_coeffs = vec![0i64; self.num_vars];
             for (j, &a) in eq.coeffs.iter().enumerate() {
                 if j != var {
-                    sub_coeffs[j] = -sign * a;
+                    sub_coeffs[j] = mul(-sign, a)?;
                 }
             }
-            let sub_const = sign * eq.rhs;
+            let sub_const = mul(sign, eq.rhs)?;
             // substitute into every remaining constraint
             for c in cons.iter_mut() {
                 let factor = c.coeffs[var];
@@ -260,9 +273,9 @@ impl IlpProblem {
                 }
                 c.coeffs[var] = 0;
                 for (cj, &sj) in c.coeffs.iter_mut().zip(&sub_coeffs) {
-                    *cj += factor * sj;
+                    *cj = add(*cj, mul(factor, sj)?)?;
                 }
-                c.rhs -= factor * sub_const;
+                c.rhs = add(c.rhs, neg(mul(factor, sub_const)?)?)?;
             }
             substitutions.push(Substitution {
                 var,
@@ -272,14 +285,18 @@ impl IlpProblem {
         }
     }
 
-    fn apply_substitutions(point: &mut [i64], substitutions: &[Substitution]) {
+    fn apply_substitutions(
+        point: &mut [i64],
+        substitutions: &[Substitution],
+    ) -> Result<(), Overflow> {
         for sub in substitutions.iter().rev() {
             let mut v = sub.constant;
             for (j, &c) in sub.coeffs.iter().enumerate() {
-                v += c * point[j];
+                v = add(v, mul(c, point[j])?)?;
             }
             point[sub.var] = v;
         }
+        Ok(())
     }
 
     fn branch_and_bound(&self, cons: &[Constraint]) -> IlpResult {
@@ -313,19 +330,27 @@ impl IlpProblem {
             let Some(point) = lp.feasible_point() else {
                 continue;
             };
-            // find a fractional coordinate
+            // find a fractional coordinate; a vertex or bound outside i64
+            // makes the search abstain
             match point.iter().position(|v| !v.is_integer()) {
                 None => {
-                    let int_point: Vec<i64> = point.iter().map(|v| v.numer() as i64).collect();
+                    let Ok(int_point) = point.iter().map(|v| i64::try_from(v.numer())).collect()
+                    else {
+                        return IlpResult::Unknown;
+                    };
                     // The LP vertex satisfies all constraints by construction.
                     return IlpResult::Sat(int_point);
                 }
                 Some(var) => {
                     let v = point[var];
+                    let (Ok(floor), Ok(ceil)) = (i64::try_from(v.floor()), i64::try_from(v.ceil()))
+                    else {
+                        return IlpResult::Unknown;
+                    };
                     let mut low = node.clone();
-                    low.extra.push((var, true, v.floor() as i64));
+                    low.extra.push((var, true, floor));
                     let mut high = node;
-                    high.extra.push((var, false, v.ceil() as i64));
+                    high.extra.push((var, false, ceil));
                     stack.push(low);
                     stack.push(high);
                 }
@@ -519,5 +544,28 @@ mod tests {
                 IlpResult::Unknown => panic!("budget should not be hit on tiny systems"),
             }
         }
+    }
+
+    #[test]
+    fn a_model_outside_i64_is_unknown_not_wrapped() {
+        // x = i64::MAX ∧ y - x = 1 forces y = 2^63, which i64 cannot hold.
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![1, 0], i64::MAX));
+        p.add(eq(vec![-1, 1], 1));
+        assert_eq!(p.solve(), IlpResult::Unknown);
+        // the same shape one step lower is an ordinary model
+        let mut p = IlpProblem::new(2);
+        p.add(eq(vec![1, 0], i64::MAX - 1));
+        p.add(eq(vec![-1, 1], 1));
+        assert_eq!(p.solve(), IlpResult::Sat(vec![i64::MAX - 1, i64::MAX]));
+    }
+
+    #[test]
+    fn floor_division_of_a_bound_near_i64_min() {
+        // 2x ≤ i64::MIN + 1  ⟺  x ≤ ⌊(i64::MIN + 1) / 2⌋ = i64::MIN / 2
+        let mut p = IlpProblem::new(1);
+        p.add(le(vec![2], i64::MIN + 1));
+        p.add(ge(vec![1], i64::MIN / 2));
+        assert_eq!(p.solve(), IlpResult::Sat(vec![i64::MIN / 2]));
     }
 }

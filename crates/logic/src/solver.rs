@@ -152,14 +152,18 @@ impl Solver {
                 coeffs[index[v]] = c;
             }
             let constant = diff.constant_part();
-            // diff REL 0  ⟺  coeffs·x REL -constant
-            let (rel, rhs) = match atom.rel {
-                Rel::Eq => (LpRel::Eq, -constant),
-                Rel::Le => (LpRel::Le, -constant),
-                Rel::Lt => (LpRel::Le, -constant - 1),
-                Rel::Ge => (LpRel::Ge, -constant),
-                Rel::Gt => (LpRel::Ge, -constant + 1),
+            // diff REL 0  ⟺  coeffs·x REL -constant (+ shift for strict
+            // relations); a bound outside i64 makes the cube undecided
+            let (rel, shift) = match atom.rel {
+                Rel::Eq => (LpRel::Eq, 0),
+                Rel::Le => (LpRel::Le, 0),
+                Rel::Lt => (LpRel::Le, -1),
+                Rel::Ge => (LpRel::Ge, 0),
+                Rel::Gt => (LpRel::Ge, 1),
                 Rel::Ne => unreachable!("disequalities are split during DNF conversion"),
+            };
+            let Some(rhs) = constant.checked_neg().and_then(|c| c.checked_add(shift)) else {
+                return IlpResult::Unknown;
             };
             problem.add(Constraint::new(coeffs, rel, rhs));
         }

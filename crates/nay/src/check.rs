@@ -10,14 +10,16 @@
 //! * unsatisfiable ⇒ the example-restricted problem `sy_E` is
 //!   **unrealizable** (and so is `sy`, Lemma 3.5);
 //! * satisfiable ⇒ `sy_E` is **realizable** (the abstraction is exact, so
-//!   this direction holds too — Thm. 4.5(2));
+//!   this direction holds too — Thm. 4.5(2)); if the solver could not
+//!   decide a CLIA comparison query the abstraction is only a superset, and
+//!   the check is inconclusive instead;
 //! * unknown ⇒ the check is inconclusive (solver budget exceeded).
 //!
 //! The `Horn` mode replaces the exact solve with the approximate
 //! abstract-interpretation Horn solver of the `chc` crate, which can only
 //! return *unrealizable* or *unknown*.
 
-use crate::clia;
+use crate::clia::{self, Exactness};
 use crate::lia;
 use crate::modes::Mode;
 use chc::{HornSolver, HornVerdict};
@@ -136,7 +138,7 @@ fn check_semilinear(
     let spec_formula = problem.spec().conjunction_over(examples, &outputs);
 
     // γ̂(n(Start), o⃗)
-    let (gamma, abstraction_size, solver_iterations) = if rewritten.is_lia() {
+    let (gamma, abstraction_size, solver_iterations, exactness) = if rewritten.is_lia() {
         match lia::analyze(&rewritten, examples, stratified, prune) {
             Ok(analysis) => {
                 let start = analysis.start_value(&rewritten).clone();
@@ -144,13 +146,14 @@ fn check_semilinear(
                     concretize_semilinear(&start, &outputs),
                     analysis.start_size,
                     analysis.newton_iterations,
+                    Exactness::Exact,
                 )
             }
             Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
     } else {
         match clia::analyze(&rewritten, examples, stratified, prune) {
-            Ok(analysis) => {
+            Ok((analysis, exactness)) => {
                 let size = analysis.start_size(&rewritten);
                 let iterations = analysis.outer_iterations;
                 let gamma = match rewritten.sort_of(rewritten.start()) {
@@ -173,7 +176,7 @@ fn check_semilinear(
                     }
                     None => Formula::False,
                 };
-                (gamma, size, iterations)
+                (gamma, size, iterations, exactness)
             }
             Err(_) => return outcome(Verdict::Unknown, 0, 0),
         }
@@ -181,12 +184,20 @@ fn check_semilinear(
 
     // P := γ̂(n(Start), o⃗) ∧ ⋀ⱼ ψ(oⱼ, iⱼ)   (Thm. 4.5)
     let query = Formula::and(vec![gamma, spec_formula]);
-    let verdict = match Solver::default().check(&query) {
-        SolverResult::Unsat => Verdict::Unrealizable,
-        SolverResult::Sat(_) => Verdict::Realizable,
-        SolverResult::Unknown => Verdict::Unknown,
-    };
+    let verdict = final_verdict(Solver::default().check(&query), exactness);
     outcome(verdict, abstraction_size, solver_iterations)
+}
+
+/// The verdict of the final query on an abstraction of the given exactness:
+/// a model proves realizability only when the abstraction is exact.
+fn final_verdict(result: SolverResult, exactness: Exactness) -> Verdict {
+    match (result, exactness) {
+        (SolverResult::Unsat, _) => Verdict::Unrealizable,
+        (SolverResult::Sat(_), Exactness::Exact) => Verdict::Realizable,
+        (SolverResult::Sat(_), Exactness::OverApproximate) | (SolverResult::Unknown, _) => {
+            Verdict::Unknown
+        }
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +305,27 @@ mod tests {
         assert_eq!(
             check_unrealizable(&problem, &three, &Mode::default()).verdict,
             Verdict::Unrealizable
+        );
+    }
+
+    #[test]
+    fn a_model_of_an_over_approximation_proves_nothing() {
+        let model = || SolverResult::Sat(logic::Model::default());
+        assert_eq!(
+            final_verdict(model(), Exactness::Exact),
+            Verdict::Realizable
+        );
+        assert_eq!(
+            final_verdict(model(), Exactness::OverApproximate),
+            Verdict::Unknown
+        );
+        assert_eq!(
+            final_verdict(SolverResult::Unsat, Exactness::OverApproximate),
+            Verdict::Unrealizable
+        );
+        assert_eq!(
+            final_verdict(SolverResult::Unknown, Exactness::Exact),
+            Verdict::Unknown
         );
     }
 

@@ -2,7 +2,7 @@
 //! within one loop iteration by both engines, so the portfolio's loser
 //! aborts promptly instead of running to completion.
 
-use logic::{Formula, LinearExpr, Var};
+use logic::{LinearExpr, Var};
 use nay::Nay;
 use portfolio::{solve_nay, solve_nope, Cancel, NopeEngine, SolveVerdict};
 use std::time::{Duration, Instant};
@@ -12,37 +12,15 @@ fn var(name: &str) -> LinearExpr {
     LinearExpr::var(Var::new(name))
 }
 
-/// `mpg_ite1` from the LimitedConst family: nay needs a long CEGIS run
-/// (hundreds of milliseconds in release, much more here) to prove it.
+/// `if_search_4` from the LimitedIf family: nay's CEGIS loop runs for
+/// minutes on it, while each inner check takes under a second even in a
+/// debug build, so a cancel is seen long before the run could end.
 fn slow_for_nay() -> Problem {
-    let grammar = GrammarBuilder::new("Start")
-        .nonterminal("Start", Sort::Int)
-        .nonterminal("Cond", Sort::Bool)
-        .production("Start", Symbol::Var("x".to_string()), &[])
-        .production("Start", Symbol::Var("y".to_string()), &[])
-        .production("Start", Symbol::Num(0), &[])
-        .production("Start", Symbol::Num(1), &[])
-        .production("Start", Symbol::IfThenElse, &["Cond", "Start", "Start"])
-        .production("Cond", Symbol::LessThan, &["Start", "Start"])
-        .production("Cond", Symbol::And, &["Cond", "Cond"])
-        .build()
-        .unwrap();
-    let below = Formula::lt(var("x"), LinearExpr::constant(0));
-    let formula = Formula::and(vec![
-        Formula::implies(
-            below.clone(),
-            Formula::eq(LinearExpr::var(Spec::output_var()), var("x")),
-        ),
-        Formula::implies(
-            Formula::not(below),
-            Formula::eq(
-                LinearExpr::var(Spec::output_var()),
-                var("x") + LinearExpr::constant(-3),
-            ),
-        ),
-    ]);
-    let spec = Spec::new(formula, vec!["x".to_string(), "y".to_string()], Sort::Int);
-    Problem::new("mpg_ite1", grammar, spec)
+    benchmarks::limited_if()
+        .into_iter()
+        .find(|b| b.name == "if_search_4")
+        .expect("if_search_4 is a LimitedIf benchmark")
+        .problem
 }
 
 /// `Start ::= x | 1 | Start + Start` with `f(x) = x + 2`: realizable on

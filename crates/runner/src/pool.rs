@@ -186,7 +186,10 @@ pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, config: &PoolConfig) -> Ve
             let timeout = config.timeout;
             scope.spawn(move || loop {
                 // Own deque first (front), then steal from a sibling (back).
-                let task = queues[me].lock().unwrap().pop_front().or_else(|| {
+                // The own lock is released before stealing: two workers
+                // each holding theirs while locking the other's deadlock.
+                let own = queues[me].lock().unwrap().pop_front();
+                let task = own.or_else(|| {
                     (1..workers)
                         .map(|offset| (me + offset) % workers)
                         .find_map(|victim| queues[victim].lock().unwrap().pop_back())
@@ -307,6 +310,27 @@ mod tests {
             assert_eq!(r.status, JobStatus::Ok);
             assert_eq!(r.output, Some(i * i));
         }
+    }
+
+    #[test]
+    fn workers_stealing_from_each_other_do_not_deadlock() {
+        // Tiny jobs make workers run dry, and steal, at the same moment.
+        let (tx, rx) = channel();
+        thread::spawn(move || {
+            for _ in 0..200 {
+                let jobs: Vec<Job<usize>> = (0..16)
+                    .map(|i| Job::new(format!("j{i}"), move || i))
+                    .collect();
+                let config = PoolConfig {
+                    jobs: 8,
+                    timeout: None,
+                };
+                assert_eq!(run_jobs(jobs, &config).len(), 16);
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("200 small batches finish, not deadlock");
     }
 
     #[test]

@@ -53,7 +53,9 @@ fn main() {
 
     // The exact CLIA analysis on E = ⟨1, 2⟩ (the paper's Eqns. (6)-(11)).
     let examples = ExampleSet::for_single_var("x", [1, 2]);
-    let analysis = clia::analyze(problem.grammar(), &examples, true, true).expect("CLIA grammar");
+    let (analysis, exactness) =
+        clia::analyze(problem.grammar(), &examples, true, true).expect("CLIA grammar");
+    assert_eq!(exactness, clia::Exactness::Exact);
     println!(
         "abstractions on E = ⟨1, 2⟩ (SolveMutual, {} outer iterations):",
         analysis.outer_iterations

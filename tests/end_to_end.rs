@@ -125,6 +125,36 @@ fn verdicts_are_consistent_across_tools_on_benchmarks() {
 }
 
 #[test]
+fn solve_mutual_reaches_its_fixed_point_on_array_search() {
+    // Each ⟦LessThan⟧♯ query of array_search_6..15 has more DNF cubes than
+    // the solver's budget. Reading those undecided queries as "mask
+    // impossible" made SolveMutual oscillate until its safety cap; concrete
+    // members now produce every mask, so no query is left undecided.
+    for name in ["array_search_6", "array_search_15"] {
+        let bench = benchmarks::limited_const()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("benchmark exists");
+        let grammar = sygus::rewrite::to_plus_form(bench.problem.grammar()).expect("rewrites");
+        let examples = &bench.witness_examples;
+        let (analysis, exactness) =
+            nay::clia::analyze(&grammar, examples, true, true).expect("CLIA grammar");
+        let max_outer = grammar.num_nonterminals() * (1usize << examples.len()) + 2;
+        assert!(
+            analysis.outer_iterations < max_outer,
+            "{name}: {} outer iterations hit the cap",
+            analysis.outer_iterations
+        );
+        let (bools, _) = nay::clia::solve_bool(&grammar, examples, &analysis.int_values);
+        assert_eq!(
+            bools, analysis.bool_values,
+            "{name}: not a Boolean fixed point"
+        );
+        assert_eq!(exactness, nay::clia::Exactness::Exact, "{name}");
+    }
+}
+
+#[test]
 fn gconst_incompleteness_example() {
     // Example 3.8: the problem is unrealizable, but every finite example set
     // is realizable, so Alg. 1 must return Realizable for any example set.
