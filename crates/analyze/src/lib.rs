@@ -17,8 +17,9 @@
 //!    reachability, productivity, emptiness, useless productions, and
 //!    finite-language detection with exact enumeration when the language is
 //!    small.
-//! 3. [`presolve`] — an abstract pre-solve: interval/parity abstract
-//!    interpretation over the grammar's nonterminals that can statically
+//! 3. [`presolve`] — an abstract pre-solve: the `chc` crate's
+//!    interval × congruence abstract interpretation (the one nayHorn and
+//!    nope use) over the grammar's nonterminals that can statically
 //!    return `Unrealizable` (the abstract output cannot satisfy the spec on
 //!    some concrete input) or `Realizable` (a finite language contains a
 //!    verified witness), always with a checkable reason
@@ -41,9 +42,7 @@ pub mod presolve;
 pub mod wellformed;
 
 pub use grammar::{analyze_grammar, FiniteLanguage, GrammarReport};
-pub use presolve::{
-    AbsBool, AbsInt, AbsVal, Parity, PresolveOutcome, PresolveReason, PresolveVerdict, Presolver,
-};
+pub use presolve::{PresolveOutcome, PresolveReason, PresolveVerdict, Presolver};
 pub use wellformed::{Diagnostic, Severity};
 
 use sygus::parser;

@@ -10,9 +10,9 @@
 //!    ([`sygus::encode::counterexample_query`]): a term with an `Unsat`
 //!    query is a verified witness (`Realizable`); if *every* term has a
 //!    concrete counterexample the language is exhausted (`Unrealizable`).
-//! 3. **Abstract refutation** — an interval/parity abstract interpretation
-//!    of the grammar's nonterminals under a concrete probe input (a
-//!    lightweight cousin of the in-tree `gfa` flow analysis). Every
+//! 3. **Abstract refutation** — the `chc` crate's interval × congruence
+//!    abstract interpretation of the grammar's nonterminals on a one-example
+//!    set holding a concrete probe input (nayHorn's analysis). Every
 //!    program in `L(G)` evaluates, on that input, to a value inside the
 //!    abstract output; if the exact QF-LIA solver proves that no such
 //!    value satisfies the instantiated specification, the problem is
@@ -27,9 +27,11 @@
 
 use std::fmt;
 
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
+use chc::domain::AbsValue;
+use chc::HornSolver;
+use logic::{Solver, SolverResult};
 use sygus::encode::counterexample_query;
-use sygus::{Example, Grammar, Problem, Spec, Symbol, Term};
+use sygus::{Example, ExampleSet, Grammar, Problem, Spec, Term};
 
 use crate::grammar::analyze_grammar;
 
@@ -61,259 +63,6 @@ impl fmt::Display for PresolveVerdict {
     }
 }
 
-/// Parity of an integer abstract value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Parity {
-    /// No value yet (bottom).
-    Bottom,
-    /// All values are even.
-    Even,
-    /// All values are odd.
-    Odd,
-    /// Both parities occur (top).
-    Top,
-}
-
-impl Parity {
-    fn of(v: i64) -> Parity {
-        if v.rem_euclid(2) == 0 {
-            Parity::Even
-        } else {
-            Parity::Odd
-        }
-    }
-
-    fn join(self, other: Parity) -> Parity {
-        match (self, other) {
-            (Parity::Bottom, p) | (p, Parity::Bottom) => p,
-            (a, b) if a == b => a,
-            _ => Parity::Top,
-        }
-    }
-
-    fn add(self, other: Parity) -> Parity {
-        match (self, other) {
-            (Parity::Bottom, _) | (_, Parity::Bottom) => Parity::Bottom,
-            (Parity::Top, _) | (_, Parity::Top) => Parity::Top,
-            (a, b) if a == b => Parity::Even,
-            _ => Parity::Odd,
-        }
-    }
-}
-
-impl fmt::Display for Parity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parity::Bottom => write!(f, "⊥"),
-            Parity::Even => write!(f, "even"),
-            Parity::Odd => write!(f, "odd"),
-            Parity::Top => write!(f, "⊤"),
-        }
-    }
-}
-
-/// An integer abstract value: an interval (`None` = unbounded) refined
-/// with a parity.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AbsInt {
-    /// Lower bound; `None` is −∞.
-    pub lo: Option<i64>,
-    /// Upper bound; `None` is +∞.
-    pub hi: Option<i64>,
-    /// Parity refinement.
-    pub parity: Parity,
-}
-
-impl AbsInt {
-    fn singleton(v: i64) -> AbsInt {
-        AbsInt {
-            lo: Some(v),
-            hi: Some(v),
-            parity: Parity::of(v),
-        }
-    }
-
-    fn top() -> AbsInt {
-        AbsInt {
-            lo: None,
-            hi: None,
-            parity: Parity::Top,
-        }
-    }
-
-    fn join(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: match (self.lo, other.lo) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                _ => None,
-            },
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
-            parity: self.parity.join(other.parity),
-        }
-    }
-
-    fn add(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: self.lo.zip(other.lo).and_then(|(a, b)| a.checked_add(b)),
-            hi: self.hi.zip(other.hi).and_then(|(a, b)| a.checked_add(b)),
-            parity: self.parity.add(other.parity),
-        }
-    }
-
-    fn sub(self, other: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: self.lo.zip(other.hi).and_then(|(a, b)| a.checked_sub(b)),
-            hi: self.hi.zip(other.lo).and_then(|(a, b)| a.checked_sub(b)),
-            // parity of a − b equals parity of a + b
-            parity: self.parity.add(other.parity),
-        }
-    }
-
-    /// Standard interval widening: a bound that moved since `self` jumps
-    /// to infinity.
-    fn widen(self, next: AbsInt) -> AbsInt {
-        AbsInt {
-            lo: match (self.lo, next.lo) {
-                (Some(a), Some(b)) if b >= a => Some(a),
-                _ => None,
-            },
-            hi: match (self.hi, next.hi) {
-                (Some(a), Some(b)) if b <= a => Some(a),
-                _ => None,
-            },
-            parity: self.parity.join(next.parity),
-        }
-    }
-
-    fn intersects(self, other: AbsInt) -> bool {
-        let lo = match (self.lo, other.lo) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        };
-        let hi = match (self.hi, other.hi) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) | (None, Some(a)) => Some(a),
-            (None, None) => None,
-        };
-        match (lo, hi) {
-            (Some(l), Some(h)) => l <= h,
-            _ => true,
-        }
-    }
-
-    fn is_singleton(self) -> Option<i64> {
-        match (self.lo, self.hi) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for AbsInt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lo {
-            Some(lo) => write!(f, "[{lo}, ")?,
-            None => write!(f, "(-∞, ")?,
-        }
-        match self.hi {
-            Some(hi) => write!(f, "{hi}]")?,
-            None => write!(f, "+∞)")?,
-        }
-        match self.parity {
-            Parity::Even => write!(f, " even"),
-            Parity::Odd => write!(f, " odd"),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A Boolean abstract value: which truth values may occur.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AbsBool {
-    /// `true` may occur.
-    pub may_true: bool,
-    /// `false` may occur.
-    pub may_false: bool,
-}
-
-impl AbsBool {
-    fn top() -> AbsBool {
-        AbsBool {
-            may_true: true,
-            may_false: true,
-        }
-    }
-
-    fn join(self, other: AbsBool) -> AbsBool {
-        AbsBool {
-            may_true: self.may_true || other.may_true,
-            may_false: self.may_false || other.may_false,
-        }
-    }
-}
-
-impl fmt::Display for AbsBool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.may_true, self.may_false) {
-            (true, true) => write!(f, "{{true, false}}"),
-            (true, false) => write!(f, "{{true}}"),
-            (false, true) => write!(f, "{{false}}"),
-            (false, false) => write!(f, "∅"),
-        }
-    }
-}
-
-/// A value of the combined abstract domain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AbsVal {
-    /// No derivation reaches this point yet.
-    Bottom,
-    /// An integer-sorted abstract value.
-    Int(AbsInt),
-    /// A Boolean-sorted abstract value.
-    Bool(AbsBool),
-}
-
-impl AbsVal {
-    fn join(self, other: AbsVal) -> AbsVal {
-        match (self, other) {
-            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => v,
-            (AbsVal::Int(a), AbsVal::Int(b)) => AbsVal::Int(a.join(b)),
-            (AbsVal::Bool(a), AbsVal::Bool(b)) => AbsVal::Bool(a.join(b)),
-            // sort clash (impossible in a built grammar): go to a safe top
-            (AbsVal::Int(_), _) | (_, AbsVal::Int(_)) => AbsVal::Int(AbsInt::top()),
-        }
-    }
-
-    fn widen(self, next: AbsVal) -> AbsVal {
-        match (self, next) {
-            (AbsVal::Int(a), AbsVal::Int(b)) => AbsVal::Int(a.widen(b)),
-            (a, b) => a.join(b),
-        }
-    }
-
-    fn as_int(self) -> Option<AbsInt> {
-        match self {
-            AbsVal::Int(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for AbsVal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AbsVal::Bottom => write!(f, "⊥"),
-            AbsVal::Int(a) => write!(f, "{a}"),
-            AbsVal::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
 /// Why the presolve reached its verdict. Every definitive reason can be
 /// re-validated from scratch via [`Presolver::recheck`].
 #[derive(Clone, Debug)]
@@ -338,7 +87,7 @@ pub enum PresolveReason {
         /// The probe input, one `(variable, value)` pair per input.
         inputs: Vec<(String, i64)>,
         /// The abstract output of the start symbol on that input.
-        output: AbsVal,
+        output: AbsValue,
     },
     /// No lane concluded anything.
     Abstain {
@@ -409,6 +158,10 @@ impl PresolveOutcome {
 #[derive(Clone, Debug)]
 pub struct Presolver {
     solver: Solver,
+    /// The abstract lane's analysis. It widens after 8 rounds, not chc's
+    /// default 3: nested sums such as `corpus/deep_plus.sl` need the extra
+    /// exact rounds to keep the bound that refutes them.
+    horn: HornSolver,
     /// Finite-language verification is skipped above this many candidates.
     max_candidates: usize,
     /// At most this many probe inputs are tried in the abstract lane.
@@ -421,17 +174,12 @@ impl Default for Presolver {
     }
 }
 
-/// Kleene rounds before widening kicks in.
-const WIDEN_AFTER: usize = 8;
-/// Hard cap on fixpoint rounds (reached only by pathological grammars;
-/// the result then falls back to top, which is always sound).
-const MAX_ROUNDS: usize = 64;
-
 impl Presolver {
     /// A presolver with the default (small) budgets.
     pub fn new() -> Self {
         Presolver {
             solver: Solver::default(),
+            horn: HornSolver::new().with_widening_delay(8),
             max_candidates: 64,
             max_probes: 16,
         }
@@ -487,11 +235,7 @@ impl Presolver {
         // Lane 3: abstract refutation over probe inputs.
         let probes = self.probes(spec);
         for probe in &probes {
-            let abs = abstract_output(grammar, probe);
-            let Some(query) = refutation_query(spec, probe, &abs) else {
-                continue;
-            };
-            if self.solver.check(&query) == SolverResult::Unsat {
+            if let Some(output) = self.refute_on(grammar, spec, probe) {
                 let inputs: Vec<(String, i64)> = spec
                     .input_vars()
                     .iter()
@@ -499,10 +243,7 @@ impl Presolver {
                     .collect();
                 return PresolveOutcome {
                     verdict: PresolveVerdict::Unrealizable,
-                    reason: PresolveReason::AbstractRefutation {
-                        inputs,
-                        output: abs,
-                    },
+                    reason: PresolveReason::AbstractRefutation { inputs, output },
                     witness: None,
                 };
             }
@@ -567,15 +308,21 @@ impl Presolver {
                     return false;
                 }
                 let probe = Example::from_pairs(inputs.iter().map(|(x, v)| (x.clone(), *v)));
-                let recomputed = abstract_output(grammar, &probe);
-                recomputed == *output
-                    && match refutation_query(spec, &probe, &recomputed) {
-                        Some(q) => self.solver.check(&q) == SolverResult::Unsat,
-                        None => false,
-                    }
+                self.refute_on(grammar, spec, &probe).as_ref() == Some(output)
             }
             PresolveReason::Abstain { .. } => outcome.verdict == PresolveVerdict::Unknown,
         }
+    }
+
+    /// Lane 3 on one probe: the start symbol's abstract output on the
+    /// one-example set `{probe}`, when the analysis converged and that
+    /// output cannot satisfy the specification.
+    fn refute_on(&self, grammar: &Grammar, spec: &Spec, probe: &Example) -> Option<AbsValue> {
+        let examples = ExampleSet::from_examples([probe.clone()]);
+        let fixpoint = self.horn.analyze(grammar, &examples);
+        self.horn
+            .refutes(&fixpoint, &examples, spec)
+            .then(|| fixpoint.start_value().clone())
     }
 
     /// Deterministic probe inputs: a small grid around zero, extended with
@@ -637,215 +384,11 @@ impl Presolver {
     }
 }
 
-/// The abstract output of the grammar's start symbol when every input
-/// variable is fixed to its value in `probe` (variables absent from the
-/// probe are treated as unconstrained). A Kleene fixpoint with interval
-/// widening after `WIDEN_AFTER` rounds; sound by construction — every
-/// concrete program output on `probe` lies in the result.
-pub fn abstract_output(grammar: &Grammar, probe: &Example) -> AbsVal {
-    let nts = grammar.nonterminals();
-    let index = |nt: &sygus::NonTerminal| nts.iter().position(|n| n == nt);
-    let mut vals: Vec<AbsVal> = vec![AbsVal::Bottom; nts.len()];
-    for round in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for p in grammar.productions() {
-            let Some(lhs) = index(&p.lhs) else { continue };
-            let args: Option<Vec<AbsVal>> =
-                p.args.iter().map(|a| index(a).map(|i| vals[i])).collect();
-            let Some(args) = args else { continue };
-            let v = eval_symbol(&p.symbol, &args, probe);
-            if v == AbsVal::Bottom {
-                continue;
-            }
-            let joined = vals[lhs].join(v);
-            let next = if round >= WIDEN_AFTER {
-                vals[lhs].widen(joined)
-            } else {
-                joined
-            };
-            if next != vals[lhs] {
-                vals[lhs] = next;
-                changed = true;
-            }
-        }
-        if !changed {
-            return index(grammar.start()).map_or(AbsVal::Bottom, |i| vals[i]);
-        }
-    }
-    // Pathological non-convergence: fall back to top (always sound).
-    match grammar.sort_of(grammar.start()) {
-        Some(sygus::Sort::Bool) => AbsVal::Bool(AbsBool::top()),
-        _ => AbsVal::Int(AbsInt::top()),
-    }
-}
-
-fn eval_symbol(symbol: &Symbol, args: &[AbsVal], probe: &Example) -> AbsVal {
-    if args.contains(&AbsVal::Bottom) {
-        return AbsVal::Bottom;
-    }
-    let int = |i: usize| args.get(i).copied().and_then(AbsVal::as_int);
-    match symbol {
-        Symbol::Num(c) => AbsVal::Int(AbsInt::singleton(*c)),
-        Symbol::Var(x) => AbsVal::Int(probe.get(x).map_or_else(AbsInt::top, AbsInt::singleton)),
-        Symbol::NegVar(x) => AbsVal::Int(
-            probe
-                .get(x)
-                .and_then(i64::checked_neg)
-                .map_or_else(AbsInt::top, AbsInt::singleton),
-        ),
-        Symbol::Plus => {
-            let mut acc = match int(0) {
-                Some(a) => a,
-                None => return AbsVal::Int(AbsInt::top()),
-            };
-            for i in 1..args.len() {
-                match int(i) {
-                    Some(b) => acc = acc.add(b),
-                    None => return AbsVal::Int(AbsInt::top()),
-                }
-            }
-            AbsVal::Int(acc)
-        }
-        Symbol::Minus => match (int(0), int(1)) {
-            (Some(a), Some(b)) => AbsVal::Int(a.sub(b)),
-            _ => AbsVal::Int(AbsInt::top()),
-        },
-        Symbol::IfThenElse => {
-            let (t, e) = (
-                args.get(1).copied().unwrap_or(AbsVal::Bottom),
-                args.get(2).copied().unwrap_or(AbsVal::Bottom),
-            );
-            match args.first() {
-                Some(AbsVal::Bool(c)) if !c.may_false => t,
-                Some(AbsVal::Bool(c)) if !c.may_true => e,
-                _ => t.join(e),
-            }
-        }
-        Symbol::And | Symbol::Or | Symbol::Not => {
-            let b = |i: usize| match args.get(i) {
-                Some(AbsVal::Bool(b)) => *b,
-                _ => AbsBool::top(),
-            };
-            let v = match symbol {
-                Symbol::And => AbsBool {
-                    may_true: b(0).may_true && b(1).may_true,
-                    may_false: b(0).may_false || b(1).may_false,
-                },
-                Symbol::Or => AbsBool {
-                    may_true: b(0).may_true || b(1).may_true,
-                    may_false: b(0).may_false && b(1).may_false,
-                },
-                _ => AbsBool {
-                    may_true: b(0).may_false,
-                    may_false: b(0).may_true,
-                },
-            };
-            AbsVal::Bool(v)
-        }
-        Symbol::LessThan => match (int(0), int(1)) {
-            (Some(a), Some(b)) => AbsVal::Bool(AbsBool {
-                // some v_a < v_b exists iff a's minimum lies below b's maximum
-                may_true: match (a.lo, b.hi) {
-                    (Some(lo), Some(hi)) => lo < hi,
-                    _ => true,
-                },
-                // some v_a ≥ v_b exists iff a's maximum reaches b's minimum
-                may_false: match (a.hi, b.lo) {
-                    (Some(hi), Some(lo)) => hi >= lo,
-                    _ => true,
-                },
-            }),
-            _ => AbsVal::Bool(AbsBool::top()),
-        },
-        Symbol::Equal => match (int(0), int(1)) {
-            (Some(a), Some(b)) => {
-                let parity_disjoint = matches!(
-                    (a.parity, b.parity),
-                    (Parity::Even, Parity::Odd) | (Parity::Odd, Parity::Even)
-                );
-                let both_same_singleton = match (a.is_singleton(), b.is_singleton()) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => false,
-                };
-                AbsVal::Bool(AbsBool {
-                    may_true: a.intersects(b) && !parity_disjoint,
-                    may_false: !both_same_singleton,
-                })
-            }
-            _ => AbsVal::Bool(AbsBool::top()),
-        },
-    }
-}
-
-/// `γ(abs)(out) ∧ ψ[x̄ := probe]`: satisfiable iff some value the grammar
-/// can produce on `probe` satisfies the instantiated specification. An
-/// `Unsat` answer is therefore an unrealizability proof. Returns `None`
-/// when the abstraction supports no sound encoding (bottom values).
-fn refutation_query(spec: &Spec, probe: &Example, abs: &AbsVal) -> Option<Formula> {
-    let out = Var::new("__presolve_out");
-    let psi = spec.instantiate(probe, &out);
-    let mut parts: Vec<Formula> = Vec::new();
-    match abs {
-        AbsVal::Bottom => return None,
-        AbsVal::Int(a) => {
-            if let Some(lo) = a.lo {
-                parts.push(Formula::ge(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(lo),
-                ));
-            }
-            if let Some(hi) = a.hi {
-                parts.push(Formula::le(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(hi),
-                ));
-            }
-            let k = Var::new("__presolve_k");
-            match a.parity {
-                Parity::Even => parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::var(k).scale(2),
-                )),
-                Parity::Odd => parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::var(k).scale(2) + LinearExpr::constant(1),
-                )),
-                Parity::Top => {}
-                Parity::Bottom => return None,
-            }
-        }
-        AbsVal::Bool(b) => {
-            // Boolean outputs use the 0/1 integer encoding of the spec
-            parts.push(Formula::ge(
-                LinearExpr::var(out.clone()),
-                LinearExpr::constant(0),
-            ));
-            parts.push(Formula::le(
-                LinearExpr::var(out.clone()),
-                LinearExpr::constant(1),
-            ));
-            if !b.may_true {
-                parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(0),
-                ));
-            }
-            if !b.may_false {
-                parts.push(Formula::eq(
-                    LinearExpr::var(out.clone()),
-                    LinearExpr::constant(1),
-                ));
-            }
-        }
-    }
-    parts.push(psi);
-    Some(Formula::and(parts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sygus::{GrammarBuilder, Sort};
+    use logic::{Formula, LinearExpr, Var};
+    use sygus::{GrammarBuilder, Sort, Symbol};
 
     fn presolver() -> Presolver {
         Presolver::new()
@@ -921,7 +464,10 @@ mod tests {
         assert_eq!(out.verdict, PresolveVerdict::Unrealizable);
         match &out.reason {
             PresolveReason::AbstractRefutation { output, .. } => {
-                assert_eq!(output.as_int().map(|a| a.parity), Some(Parity::Even));
+                let AbsValue::Int(v) = output else {
+                    panic!("integer output expected, got {output}")
+                };
+                assert_eq!((v[0].congruence.modulus, v[0].congruence.rem), (2, 0));
             }
             other => panic!("unexpected reason {other}"),
         }
@@ -943,7 +489,10 @@ mod tests {
         assert_eq!(out.verdict, PresolveVerdict::Unrealizable);
         match &out.reason {
             PresolveReason::AbstractRefutation { output, .. } => {
-                assert_eq!(output.as_int().and_then(|a| a.lo), Some(5));
+                let AbsValue::Int(v) = output else {
+                    panic!("integer output expected, got {output}")
+                };
+                assert_eq!(v[0].interval.lo, Some(5));
             }
             other => panic!("unexpected reason {other}"),
         }
@@ -1041,22 +590,5 @@ mod tests {
             probes.iter().any(|e| e.get("x") == Some(7)),
             "mined probe x=7 missing from {probes:?}"
         );
-    }
-
-    #[test]
-    fn abstract_domain_arithmetic() {
-        assert_eq!(Parity::of(-3), Parity::Odd);
-        assert_eq!(Parity::of(-4), Parity::Even);
-        assert_eq!(Parity::Even.add(Parity::Odd), Parity::Odd);
-        assert_eq!(Parity::Odd.add(Parity::Odd), Parity::Even);
-        let a = AbsInt::singleton(2).join(AbsInt::singleton(6));
-        assert_eq!((a.lo, a.hi, a.parity), (Some(2), Some(6), Parity::Even));
-        let b = a.add(AbsInt::singleton(1));
-        assert_eq!((b.lo, b.hi, b.parity), (Some(3), Some(7), Parity::Odd));
-        // widening lets moving bounds escape to infinity
-        let w = a.widen(a.join(AbsInt::singleton(100)));
-        assert_eq!((w.lo, w.hi), (Some(2), None));
-        assert!(AbsInt::singleton(3).intersects(AbsInt::singleton(3)));
-        assert!(!AbsInt::singleton(3).intersects(AbsInt::singleton(4)));
     }
 }

@@ -1,8 +1,13 @@
 //! The abstract domain of the approximate Horn solver: per-example products
 //! of intervals and congruences for integer nonterminals, three-valued
 //! Booleans for Boolean nonterminals.
+//!
+//! Arithmetic is exact or gives up precision, never wraps: a bound whose
+//! computation overflows `i64` becomes unbounded, and a congruence whose
+//! remainder or modulus does not fit becomes ⊤.
 
 use logic::{Formula, LinearExpr, Var};
+use std::fmt;
 
 /// An integer interval with optional (±∞) bounds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,25 +37,20 @@ impl Interval {
         self.lo.is_none_or(|lo| lo <= v) && self.hi.is_none_or(|hi| v <= hi)
     }
 
-    /// Interval addition.
+    /// Interval addition; a bound that overflows becomes unbounded.
     pub fn add(&self, other: &Interval) -> Interval {
         Interval {
-            lo: match (self.lo, other.lo) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            },
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                _ => None,
-            },
+            lo: self.lo.zip(other.lo).and_then(|(a, b)| a.checked_add(b)),
+            hi: self.hi.zip(other.hi).and_then(|(a, b)| a.checked_add(b)),
         }
     }
 
-    /// Interval negation.
+    /// Interval negation; `−i64::MIN` does not fit, so that bound becomes
+    /// unbounded.
     pub fn neg(&self) -> Interval {
         Interval {
-            lo: self.hi.map(|h| -h),
-            hi: self.lo.map(|l| -l),
+            lo: self.hi.and_then(i64::checked_neg),
+            hi: self.lo.and_then(i64::checked_neg),
         }
     }
 
@@ -88,6 +88,7 @@ impl Interval {
 /// A congruence class `r (mod m)`.
 ///
 /// `modulus == 0` encodes the exact constant `rem`; `modulus == 1` is top.
+/// The operations keep `modulus ≤ i64::MAX`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Congruence {
     /// The modulus `m ≥ 0`.
@@ -96,7 +97,7 @@ pub struct Congruence {
     pub rem: i64,
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
+fn gcd(a: u128, b: u128) -> u128 {
     let (mut a, mut b) = (a, b);
     while b != 0 {
         let t = a % b;
@@ -117,14 +118,17 @@ impl Congruence {
         Congruence { modulus: 0, rem: c }
     }
 
-    fn normalise(self) -> Self {
-        if self.modulus == 0 {
-            self
+    /// `rem (mod modulus)` computed in `i128`, normalised; ⊤ when the
+    /// modulus, or an exact constant, does not fit `i64`.
+    fn exact(modulus: u128, rem: i128) -> Self {
+        if modulus == 0 {
+            i64::try_from(rem).map_or_else(|_| Congruence::top(), Congruence::constant)
+        } else if modulus > i64::MAX as u128 {
+            Congruence::top()
         } else {
-            let m = self.modulus as i64;
             Congruence {
-                modulus: self.modulus,
-                rem: self.rem.rem_euclid(m),
+                modulus: modulus as u64,
+                rem: rem.rem_euclid(modulus as i128) as i64,
             }
         }
     }
@@ -134,36 +138,45 @@ impl Congruence {
         if self.modulus == 0 {
             v == self.rem
         } else {
-            (v - self.rem).rem_euclid(self.modulus as i64) == 0
+            (i128::from(v) - i128::from(self.rem)).rem_euclid(i128::from(self.modulus)) == 0
+        }
+    }
+
+    /// `true` if no integer lies in both classes: `r₁ − r₂` is not a
+    /// multiple of `gcd(m₁, m₂)`.
+    pub fn is_disjoint(&self, other: &Congruence) -> bool {
+        let g = gcd(u128::from(self.modulus), u128::from(other.modulus));
+        let diff = i128::from(self.rem) - i128::from(other.rem);
+        if g == 0 {
+            diff != 0
+        } else {
+            diff.rem_euclid(g as i128) != 0
         }
     }
 
     /// Abstract addition.
     pub fn add(&self, other: &Congruence) -> Congruence {
-        Congruence {
-            modulus: gcd(self.modulus, other.modulus),
-            rem: self.rem + other.rem,
-        }
-        .normalise()
+        Congruence::exact(
+            gcd(u128::from(self.modulus), u128::from(other.modulus)),
+            i128::from(self.rem) + i128::from(other.rem),
+        )
     }
 
     /// Abstract negation.
     pub fn neg(&self) -> Congruence {
-        Congruence {
-            modulus: self.modulus,
-            rem: -self.rem,
-        }
-        .normalise()
+        Congruence::exact(u128::from(self.modulus), -i128::from(self.rem))
     }
 
     /// Join: the least congruence containing both classes.
     pub fn join(&self, other: &Congruence) -> Congruence {
-        let diff = (self.rem - other.rem).unsigned_abs();
-        Congruence {
-            modulus: gcd(gcd(self.modulus, other.modulus), diff),
-            rem: self.rem,
-        }
-        .normalise()
+        let diff = (i128::from(self.rem) - i128::from(other.rem)).unsigned_abs();
+        Congruence::exact(
+            gcd(
+                gcd(u128::from(self.modulus), u128::from(other.modulus)),
+                diff,
+            ),
+            i128::from(self.rem),
+        )
     }
 }
 
@@ -196,6 +209,15 @@ impl AbsInt {
     /// Membership test.
     pub fn contains(&self, v: i64) -> bool {
         self.interval.contains(v) && self.congruence.contains(v)
+    }
+
+    /// The single member, when either component pins one down.
+    pub fn as_constant(&self) -> Option<i64> {
+        match (self.interval.lo, self.interval.hi) {
+            (Some(lo), Some(hi)) if lo == hi => Some(lo),
+            _ if self.congruence.modulus == 0 => Some(self.congruence.rem),
+            _ => None,
+        }
     }
 
     /// Abstract addition.
@@ -324,6 +346,22 @@ impl AbsBool {
         }
         AbsBool::Top
     }
+
+    /// Abstract equality of two [`AbsInt`]s: definitely true for one
+    /// shared constant, definitely false when the intervals or the
+    /// congruences are disjoint.
+    pub fn equal(a: &AbsInt, b: &AbsInt) -> AbsBool {
+        match (a.as_constant(), b.as_constant()) {
+            (Some(x), Some(y)) if x == y => AbsBool::True,
+            _ if AbsBool::less_than(a, b) == AbsBool::True
+                || AbsBool::less_than(b, a) == AbsBool::True
+                || a.congruence.is_disjoint(&b.congruence) =>
+            {
+                AbsBool::False
+            }
+            _ => AbsBool::Top,
+        }
+    }
 }
 
 /// The abstract value of a nonterminal: one component per input example,
@@ -373,6 +411,47 @@ impl AbsValue {
     /// `true` if this is the bottom element.
     pub fn is_bottom(&self) -> bool {
         matches!(self, AbsValue::Bottom)
+    }
+}
+
+impl fmt::Display for AbsInt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(c) = self.as_constant() {
+            return write!(f, "{c}");
+        }
+        match self.interval.lo {
+            Some(lo) => write!(f, "[{lo}, ")?,
+            None => write!(f, "(-∞, ")?,
+        }
+        match self.interval.hi {
+            Some(hi) => write!(f, "{hi}]")?,
+            None => write!(f, "+∞)")?,
+        }
+        match self.congruence.modulus {
+            0 | 1 => Ok(()),
+            m => write!(f, " ≡ {} mod {m}", self.congruence.rem),
+        }
+    }
+}
+
+impl fmt::Display for AbsValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let components: Vec<String> = match self {
+            AbsValue::Bottom => return write!(f, "⊥"),
+            AbsValue::Int(v) => v.iter().map(AbsInt::to_string).collect(),
+            AbsValue::Bool(v) => v
+                .iter()
+                .map(|b| match b {
+                    AbsBool::True => "true".to_string(),
+                    AbsBool::False => "false".to_string(),
+                    AbsBool::Top => "{true, false}".to_string(),
+                })
+                .collect(),
+        };
+        match components.as_slice() {
+            [one] => write!(f, "{one}"),
+            many => write!(f, "({})", many.join(", ")),
+        }
     }
 }
 
@@ -520,5 +599,87 @@ mod tests {
         }
         assert_eq!(AbsValue::Bottom.join(&a), a);
         assert!(AbsValue::Bottom.is_bottom());
+    }
+
+    #[test]
+    fn interval_bounds_that_overflow_become_unbounded() {
+        let max = Interval::constant(i64::MAX);
+        assert_eq!(max.add(&Interval::constant(1)), Interval::top());
+        assert_eq!(
+            max.add(&Interval::constant(-1)),
+            Interval::constant(i64::MAX - 1)
+        );
+        let min = Interval::constant(i64::MIN);
+        assert_eq!(min.add(&Interval::constant(-1)), Interval::top());
+        // −i64::MIN does not fit: the lower bound of the negation is lost
+        let neg = Interval {
+            lo: Some(i64::MIN),
+            hi: Some(0),
+        }
+        .neg();
+        assert_eq!((neg.lo, neg.hi), (Some(0), None));
+        assert!(neg.contains(i64::MAX));
+        assert_eq!(
+            Interval::constant(i64::MAX).neg(),
+            Interval::constant(-i64::MAX)
+        );
+    }
+
+    #[test]
+    fn congruences_that_overflow_become_top() {
+        let max = Congruence::constant(i64::MAX);
+        assert_eq!(max.add(&max), Congruence::top());
+        assert_eq!(Congruence::constant(i64::MIN).neg(), Congruence::top());
+        assert_eq!(
+            Congruence::constant(i64::MIN).add(&Congruence::constant(-1)),
+            Congruence::top()
+        );
+        // the join's modulus |MAX − MIN| = 2^64 − 1 exceeds i64::MAX
+        let wide = max.join(&Congruence::constant(i64::MIN));
+        assert_eq!(wide, Congruence::top());
+        // exact arithmetic still works right up to the edge
+        let edge = Congruence::constant(i64::MAX - 1).add(&Congruence::constant(1));
+        assert_eq!(edge, Congruence::constant(i64::MAX));
+        let even = Congruence::constant(i64::MIN).join(&Congruence::constant(0));
+        assert_eq!(even, Congruence::top(), "modulus 2^63 does not fit");
+        // i64::MAX ≡ 1 (mod 3): the sum is computed without wrapping
+        let step = Congruence { modulus: 3, rem: 2 }.add(&max);
+        assert_eq!(step, Congruence { modulus: 3, rem: 0 });
+        assert!(Congruence { modulus: 3, rem: 0 }.contains(i64::MIN + 2));
+        assert!(!Congruence { modulus: 3, rem: 0 }.contains(i64::MIN));
+    }
+
+    #[test]
+    fn equality_uses_both_components() {
+        let even = AbsInt {
+            interval: Interval::top(),
+            congruence: Congruence { modulus: 2, rem: 0 },
+        };
+        let odd = AbsInt {
+            interval: Interval::top(),
+            congruence: Congruence { modulus: 2, rem: 1 },
+        };
+        assert_eq!(AbsBool::equal(&even, &odd), AbsBool::False);
+        assert_eq!(AbsBool::equal(&even, &even), AbsBool::Top);
+        let three_mod_six = AbsInt {
+            interval: Interval::top(),
+            congruence: Congruence { modulus: 6, rem: 3 },
+        };
+        assert_eq!(
+            AbsBool::equal(&three_mod_six, &AbsInt::constant(9)),
+            AbsBool::Top
+        );
+        assert_eq!(
+            AbsBool::equal(&three_mod_six, &AbsInt::constant(4)),
+            AbsBool::False
+        );
+        assert_eq!(
+            AbsBool::equal(&AbsInt::constant(4), &AbsInt::constant(4)),
+            AbsBool::True
+        );
+        assert_eq!(
+            AbsBool::equal(&AbsInt::constant(4), &AbsInt::constant(5)),
+            AbsBool::False
+        );
     }
 }

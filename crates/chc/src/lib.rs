@@ -10,12 +10,14 @@
 //! * [`domain`] — a numeric abstract domain (intervals × congruences per
 //!   example, three-valued Booleans for Boolean nonterminals),
 //! * [`HornSolver`] — a sound, incomplete solver that discharges the Horn
-//!   query by abstract interpretation with widening over that domain.
+//!   query by abstract interpretation with widening over that domain. It is
+//!   the workspace's one abstract interpreter: nayHorn's back end, nope's
+//!   proof lane and the presolve's refutation lane.
 //!
 //! The abstract-interpretation solver replaces Z3/Spacer (unavailable in this
 //! reproduction); like Spacer it either *proves* the query unsatisfiable —
-//! establishing unrealizability — or gives up with `Unknown`. See DESIGN.md
-//! for the substitution rationale.
+//! establishing unrealizability — or gives up with `Unknown`. README's
+//! "Solver substitutions" section gives the rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +27,4 @@ pub mod encode;
 mod solver;
 
 pub use encode::{HornClause, HornSystem, PredicateApp};
-pub use solver::{HornSolver, HornVerdict};
+pub use solver::{Fixpoint, HornSolver, HornVerdict};

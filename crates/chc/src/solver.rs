@@ -11,9 +11,13 @@
 //! incomplete — the other possible verdict is `Unknown`.
 
 use crate::domain::{AbsBool, AbsInt, AbsValue};
-use logic::{Formula, Solver, SolverResult, Var};
+use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
+use runner::Cancel;
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Grammar, NonTerminal, Spec, Symbol};
+
+/// Kleene iterations before the analysis gives up unconverged.
+const MAX_ITERATIONS: usize = 100;
 
 /// The verdict of the approximate Horn solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,7 +29,30 @@ pub enum HornVerdict {
     Unknown,
 }
 
-/// The abstract-interpretation Horn solver (nayHorn's backend).
+/// The result of [`HornSolver::analyze`].
+#[derive(Clone, Debug)]
+pub struct Fixpoint {
+    /// One abstract value per nonterminal.
+    pub values: BTreeMap<NonTerminal, AbsValue>,
+    /// The grammar's start symbol.
+    pub start: NonTerminal,
+    /// Kleene iterations performed.
+    pub iterations: usize,
+    /// `true` when the iteration stabilised. Values that stopped at the
+    /// iteration cap or on a tripped [`Cancel`] may miss outputs, so only a
+    /// converged fixpoint over-approximates the language and may refute.
+    pub converged: bool,
+}
+
+impl Fixpoint {
+    /// The start symbol's abstract value.
+    pub fn start_value(&self) -> &AbsValue {
+        &self.values[&self.start]
+    }
+}
+
+/// The abstract-interpretation Horn solver (nayHorn's backend, nope's
+/// abstract lane and the presolve's refutation lane).
 ///
 /// # Example
 /// ```
@@ -55,29 +82,24 @@ pub enum HornVerdict {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HornSolver {
-    max_iterations: usize,
     widening_delay: usize,
+    cancel: Cancel,
 }
 
 impl Default for HornSolver {
     fn default() -> Self {
         HornSolver {
-            max_iterations: 100,
             widening_delay: 3,
+            cancel: Cancel::never(),
         }
     }
 }
 
 impl HornSolver {
-    /// Creates a solver with default iteration and widening parameters.
+    /// Creates a solver with the default widening delay that cannot be
+    /// cancelled.
     pub fn new() -> Self {
         HornSolver::default()
-    }
-
-    /// Sets the maximal number of Kleene iterations.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
     }
 
     /// Sets how many iterations run before widening kicks in.
@@ -86,32 +108,37 @@ impl HornSolver {
         self
     }
 
+    /// Polls `cancel` once per Kleene iteration; a trip stops the analysis
+    /// unconverged, so the check answers `Unknown`.
+    pub fn with_cancel(mut self, cancel: &Cancel) -> Self {
+        self.cancel = cancel.clone();
+        self
+    }
+
     /// Computes the abstract fixed point: one [`AbsValue`] per nonterminal,
-    /// over-approximating the set of output vectors producible on `examples`.
-    pub fn analyze(
-        &self,
-        grammar: &Grammar,
-        examples: &ExampleSet,
-    ) -> BTreeMap<NonTerminal, AbsValue> {
+    /// over-approximating the set of output vectors producible on `examples`
+    /// when [`Fixpoint::converged`] holds.
+    pub fn analyze(&self, grammar: &Grammar, examples: &ExampleSet) -> Fixpoint {
         let mut values: BTreeMap<NonTerminal, AbsValue> = grammar
             .nonterminals()
             .iter()
             .map(|nt| (nt.clone(), AbsValue::Bottom))
             .collect();
-
-        for iteration in 0..self.max_iterations {
+        let mut iterations = 0;
+        let mut converged = false;
+        while iterations < MAX_ITERATIONS && !self.cancel.is_cancelled() {
             let mut changed = false;
             let mut next = values.clone();
             for nt in grammar.nonterminals() {
                 let mut acc = AbsValue::Bottom;
                 for p in grammar.productions_of(nt) {
-                    let contribution = self.transfer(&p.symbol, &p.args, &values, examples);
+                    let contribution = transfer(&p.symbol, &p.args, &values, examples);
                     if !contribution.is_bottom() {
                         acc = acc.join(&contribution);
                     }
                 }
                 let old = &values[nt];
-                let new = if iteration >= self.widening_delay {
+                let new = if iterations >= self.widening_delay {
                     old.widen(&acc)
                 } else if old.is_bottom() {
                     acc
@@ -124,28 +151,34 @@ impl HornSolver {
                 next.insert(nt.clone(), new);
             }
             values = next;
+            iterations += 1;
             if !changed {
+                converged = true;
                 break;
             }
         }
-        values
+        Fixpoint {
+            values,
+            start: grammar.start().clone(),
+            iterations,
+            converged,
+        }
     }
 
-    /// Checks unrealizability of the SyGuS-with-examples problem
-    /// `(spec, grammar)` restricted to `examples` (the Horn query of §4.3).
-    pub fn check(&self, grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> HornVerdict {
-        if examples.is_empty() {
-            return HornVerdict::Unknown;
+    /// The Horn query on a computed fixpoint: `true` when the fixpoint
+    /// converged and no output vector in the start symbol's abstraction
+    /// satisfies the specification on `examples`.
+    pub fn refutes(&self, fixpoint: &Fixpoint, examples: &ExampleSet, spec: &Spec) -> bool {
+        if !fixpoint.converged {
+            return false;
         }
-        let values = self.analyze(grammar, examples);
-        let start = &values[grammar.start()];
         let outputs: Vec<Var> = (0..examples.len())
             .map(|j| Var::indexed("o", j + 1))
             .collect();
-        let gamma = match start {
+        let gamma = match fixpoint.start_value() {
             // bottom: the start symbol derives no terms at all, so there is
             // no candidate and the problem is trivially unrealizable.
-            AbsValue::Bottom => return HornVerdict::Unrealizable,
+            AbsValue::Bottom => return true,
             AbsValue::Int(components) => Formula::and(
                 components
                     .iter()
@@ -154,114 +187,104 @@ impl HornSolver {
             ),
             AbsValue::Bool(components) => {
                 Formula::and(components.iter().enumerate().map(|(j, b)| {
-                    let o = logic::LinearExpr::var(outputs[j].clone());
+                    let o = LinearExpr::var(outputs[j].clone());
                     match b {
-                        AbsBool::True => Formula::eq(o, logic::LinearExpr::constant(1)),
-                        AbsBool::False => Formula::eq(o, logic::LinearExpr::constant(0)),
+                        AbsBool::True => Formula::eq(o, LinearExpr::constant(1)),
+                        AbsBool::False => Formula::eq(o, LinearExpr::constant(0)),
                         AbsBool::Top => Formula::and(vec![
-                            Formula::ge(o.clone(), logic::LinearExpr::constant(0)),
-                            Formula::le(o, logic::LinearExpr::constant(1)),
+                            Formula::ge(o.clone(), LinearExpr::constant(0)),
+                            Formula::le(o, LinearExpr::constant(1)),
                         ]),
                     }
                 }))
             }
         };
         let query = Formula::and(vec![gamma, spec.conjunction_over(examples, &outputs)]);
-        match Solver::default().check(&query) {
-            SolverResult::Unsat => HornVerdict::Unrealizable,
-            SolverResult::Sat(_) | SolverResult::Unknown => HornVerdict::Unknown,
-        }
+        matches!(Solver::default().check(&query), SolverResult::Unsat)
     }
 
-    fn transfer(
-        &self,
-        symbol: &Symbol,
-        args: &[NonTerminal],
-        values: &BTreeMap<NonTerminal, AbsValue>,
-        examples: &ExampleSet,
-    ) -> AbsValue {
-        let dim = examples.len();
-        let arg_vals: Vec<&AbsValue> = args.iter().map(|a| &values[a]).collect();
-        if arg_vals.iter().any(|v| v.is_bottom()) {
-            return AbsValue::Bottom;
+    /// Checks unrealizability of the SyGuS-with-examples problem
+    /// `(spec, grammar)` restricted to `examples` (the Horn query of §4.3).
+    pub fn check(&self, grammar: &Grammar, examples: &ExampleSet, spec: &Spec) -> HornVerdict {
+        if !examples.is_empty() && self.refutes(&self.analyze(grammar, examples), examples, spec) {
+            HornVerdict::Unrealizable
+        } else {
+            HornVerdict::Unknown
         }
-        let ints = |k: usize| -> &Vec<AbsInt> {
-            match arg_vals[k] {
-                AbsValue::Int(v) => v,
-                _ => unreachable!("sort checked by the grammar builder"),
-            }
-        };
-        let bools = |k: usize| -> &Vec<AbsBool> {
-            match arg_vals[k] {
-                AbsValue::Bool(v) => v,
-                _ => unreachable!("sort checked by the grammar builder"),
-            }
-        };
-        match symbol {
-            Symbol::Num(c) => AbsValue::Int(vec![AbsInt::constant(*c); dim]),
-            Symbol::Var(x) => {
-                let mu = examples.projection(x).unwrap_or_else(|_| vec![0; dim]);
-                AbsValue::Int(mu.into_iter().map(AbsInt::constant).collect())
-            }
-            Symbol::NegVar(x) => {
-                let mu = examples.projection(x).unwrap_or_else(|_| vec![0; dim]);
-                AbsValue::Int(mu.into_iter().map(|v| AbsInt::constant(-v)).collect())
-            }
-            Symbol::Plus => {
-                let mut acc = vec![AbsInt::constant(0); dim];
-                for k in 0..args.len() {
-                    for (j, cell) in acc.iter_mut().enumerate() {
-                        *cell = cell.add(&ints(k)[j]);
-                    }
+    }
+}
+
+/// The abstract semantics of one production on `examples`. An input the
+/// example does not bind can take any value, so it is ⊤.
+fn transfer(
+    symbol: &Symbol,
+    args: &[NonTerminal],
+    values: &BTreeMap<NonTerminal, AbsValue>,
+    examples: &ExampleSet,
+) -> AbsValue {
+    let dim = examples.len();
+    let arg_vals: Vec<&AbsValue> = args.iter().map(|a| &values[a]).collect();
+    if arg_vals.iter().any(|v| v.is_bottom()) {
+        return AbsValue::Bottom;
+    }
+    let ints = |k: usize| -> &Vec<AbsInt> {
+        match arg_vals[k] {
+            AbsValue::Int(v) => v,
+            _ => unreachable!("sort checked by the grammar builder"),
+        }
+    };
+    let bools = |k: usize| -> &Vec<AbsBool> {
+        match arg_vals[k] {
+            AbsValue::Bool(v) => v,
+            _ => unreachable!("sort checked by the grammar builder"),
+        }
+    };
+    let input = |x: &str| -> Vec<AbsInt> {
+        examples
+            .iter()
+            .map(|e| e.get(x).map_or_else(AbsInt::top, AbsInt::constant))
+            .collect()
+    };
+    match symbol {
+        Symbol::Num(c) => AbsValue::Int(vec![AbsInt::constant(*c); dim]),
+        Symbol::Var(x) => AbsValue::Int(input(x)),
+        Symbol::NegVar(x) => AbsValue::Int(input(x).iter().map(AbsInt::neg).collect()),
+        Symbol::Plus => {
+            let mut acc = vec![AbsInt::constant(0); dim];
+            for k in 0..args.len() {
+                for (j, cell) in acc.iter_mut().enumerate() {
+                    *cell = cell.add(&ints(k)[j]);
                 }
-                AbsValue::Int(acc)
             }
-            Symbol::Minus => AbsValue::Int(
-                (0..dim)
-                    .map(|j| ints(0)[j].add(&ints(1)[j].neg()))
-                    .collect(),
-            ),
-            Symbol::IfThenElse => AbsValue::Int(
-                (0..dim)
-                    .map(|j| match bools(0)[j] {
-                        AbsBool::True => ints(1)[j],
-                        AbsBool::False => ints(2)[j],
-                        AbsBool::Top => ints(1)[j].join(&ints(2)[j]),
-                    })
-                    .collect(),
-            ),
-            Symbol::LessThan => AbsValue::Bool(
-                (0..dim)
-                    .map(|j| AbsBool::less_than(&ints(0)[j], &ints(1)[j]))
-                    .collect(),
-            ),
-            Symbol::Equal => AbsValue::Bool(
-                (0..dim)
-                    .map(|j| {
-                        let (a, b) = (&ints(0)[j], &ints(1)[j]);
-                        if a.interval.lo == a.interval.hi
-                            && a.interval.lo.is_some()
-                            && a.interval == b.interval
-                            && a.congruence.modulus == 0
-                            && b.congruence.modulus == 0
-                        {
-                            AbsBool::True
-                        } else if AbsBool::less_than(a, b) == AbsBool::True
-                            || AbsBool::less_than(b, a) == AbsBool::True
-                        {
-                            AbsBool::False
-                        } else {
-                            AbsBool::Top
-                        }
-                    })
-                    .collect(),
-            ),
-            Symbol::And => {
-                AbsValue::Bool((0..dim).map(|j| bools(0)[j].and(&bools(1)[j])).collect())
-            }
-            Symbol::Or => AbsValue::Bool((0..dim).map(|j| bools(0)[j].or(&bools(1)[j])).collect()),
-            Symbol::Not => AbsValue::Bool((0..dim).map(|j| bools(0)[j].not()).collect()),
+            AbsValue::Int(acc)
         }
+        Symbol::Minus => AbsValue::Int(
+            (0..dim)
+                .map(|j| ints(0)[j].add(&ints(1)[j].neg()))
+                .collect(),
+        ),
+        Symbol::IfThenElse => AbsValue::Int(
+            (0..dim)
+                .map(|j| match bools(0)[j] {
+                    AbsBool::True => ints(1)[j],
+                    AbsBool::False => ints(2)[j],
+                    AbsBool::Top => ints(1)[j].join(&ints(2)[j]),
+                })
+                .collect(),
+        ),
+        Symbol::LessThan => AbsValue::Bool(
+            (0..dim)
+                .map(|j| AbsBool::less_than(&ints(0)[j], &ints(1)[j]))
+                .collect(),
+        ),
+        Symbol::Equal => AbsValue::Bool(
+            (0..dim)
+                .map(|j| AbsBool::equal(&ints(0)[j], &ints(1)[j]))
+                .collect(),
+        ),
+        Symbol::And => AbsValue::Bool((0..dim).map(|j| bools(0)[j].and(&bools(1)[j])).collect()),
+        Symbol::Or => AbsValue::Bool((0..dim).map(|j| bools(0)[j].or(&bools(1)[j])).collect()),
+        Symbol::Not => AbsValue::Bool((0..dim).map(|j| bools(0)[j].not()).collect()),
     }
 }
 
@@ -298,8 +321,9 @@ mod tests {
     #[test]
     fn analysis_discovers_the_congruence_invariant() {
         let examples = ExampleSet::for_single_var("x", [1]);
-        let values = HornSolver::new().analyze(&g1(), &examples);
-        match &values[&NonTerminal::new("Start")] {
+        let fixpoint = HornSolver::new().analyze(&g1(), &examples);
+        assert!(fixpoint.converged);
+        match fixpoint.start_value() {
             AbsValue::Int(v) => {
                 assert!(v[0].contains(0));
                 assert!(v[0].contains(3));
@@ -414,6 +438,98 @@ mod tests {
     fn empty_example_set_gives_unknown() {
         assert_eq!(
             HornSolver::new().check(&g1(), &ExampleSet::new(), &spec_2x_plus_2()),
+            HornVerdict::Unknown
+        );
+    }
+
+    /// `N_0 ::= N_1 + Z, …, N_{depth-1} ::= N_depth + Z`,
+    /// `N_depth ::= x | N_depth + Z`, `Z ::= 0`: realizable for `f(x) = x`,
+    /// but the start symbol stays ⊥ for `depth` Jacobi rounds.
+    fn chain(depth: usize) -> Grammar {
+        let name = |i: usize| format!("N{i}");
+        let mut b = GrammarBuilder::new("N0").nonterminal("Z", Sort::Int);
+        for i in 0..=depth {
+            b = b.nonterminal(name(i), Sort::Int);
+        }
+        for i in 0..depth {
+            b = b.production(&name(i), Symbol::Plus, &[&name(i + 1), "Z"]);
+        }
+        b.production(&name(depth), Symbol::Var("x".to_string()), &[])
+            .production(&name(depth), Symbol::Plus, &[&name(depth), "Z"])
+            .production("Z", Symbol::Num(0), &[])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn only_a_converged_fixpoint_refutes() {
+        let spec = Spec::output_equals(LinearExpr::var(Var::new("x")), vec!["x".to_string()]);
+        let examples = ExampleSet::for_single_var("x", [1]);
+        let shallow = HornSolver::new().analyze(&chain(10), &examples);
+        assert!(shallow.converged);
+        let deep = HornSolver::new().analyze(&chain(MAX_ITERATIONS), &examples);
+        assert!(!deep.converged);
+        assert_eq!(deep.iterations, MAX_ITERATIONS);
+        assert!(deep.start_value().is_bottom(), "x has not reached N0 yet");
+        assert_eq!(
+            HornSolver::new().check(&chain(MAX_ITERATIONS), &examples, &spec),
+            HornVerdict::Unknown
+        );
+    }
+
+    #[test]
+    fn a_tripped_token_stops_the_analysis_unconverged() {
+        let cancel = Cancel::new();
+        cancel.cancel();
+        let solver = HornSolver::new().with_cancel(&cancel);
+        let examples = ExampleSet::for_single_var("x", [1]);
+        let fixpoint = solver.analyze(&g1(), &examples);
+        assert_eq!((fixpoint.iterations, fixpoint.converged), (0, false));
+        assert_eq!(
+            solver.check(&g1(), &examples, &spec_2x_plus_2()),
+            HornVerdict::Unknown
+        );
+    }
+
+    #[test]
+    fn an_input_the_example_does_not_bind_is_top() {
+        // Start ::= y; with y unbound, f(x) = 5 is satisfiable (y = 5)
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .production("Start", Symbol::Var("y".to_string()), &[])
+            .build()
+            .unwrap();
+        let spec = Spec::output_equals(LinearExpr::constant(5), vec!["x".to_string()]);
+        let examples = ExampleSet::for_single_var("x", [0]);
+        assert_eq!(
+            HornSolver::new().check(&grammar, &examples, &spec),
+            HornVerdict::Unknown
+        );
+    }
+
+    #[test]
+    fn sums_past_i64_max_do_not_wrap() {
+        // Start ::= M + M | Start + M, M ::= i64::MAX; spec f(x) > x on x = 0
+        // holds for every term, so the problem is realizable.
+        let grammar = GrammarBuilder::new("Start")
+            .nonterminal("Start", Sort::Int)
+            .nonterminal("M", Sort::Int)
+            .production("Start", Symbol::Plus, &["M", "M"])
+            .production("Start", Symbol::Plus, &["Start", "M"])
+            .production("M", Symbol::Num(i64::MAX), &[])
+            .build()
+            .unwrap();
+        let spec = Spec::new(
+            Formula::gt(
+                LinearExpr::var(Spec::output_var()),
+                LinearExpr::var(Var::new("x")),
+            ),
+            vec!["x".to_string()],
+            Sort::Int,
+        );
+        let examples = ExampleSet::for_single_var("x", [0]);
+        assert_eq!(
+            HornSolver::new().check(&grammar, &examples, &spec),
             HornVerdict::Unknown
         );
     }

@@ -484,7 +484,7 @@ fn build_max_gap(rng: &mut GenRng, scale: &Scale) -> Built {
 ///   a witness.
 ///
 /// `g` is kept even (and unrealizable targets are biased toward odd `t`)
-/// so the analyzer's parity domain can settle a healthy share of these
+/// so the analyzer's congruence domain can settle a healthy share of these
 /// statically — the `presolve-diff --require-presolved` CI gate needs at
 /// least one settled instance per family.
 fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built {
@@ -555,7 +555,7 @@ fn build_from_spec(spec: &FamilySpec, rng: &mut GenRng, scale: &Scale) -> Built 
     } else {
         // t = g·q + r with r ∈ 1..g: off the congruence class, so the
         // anchor alone refutes. Bias r odd (g is even, so t is then odd)
-        // to keep the parity presolve lane productive.
+        // to keep the presolve's congruence refutations productive.
         let q = rng.range_i64(-2, 2);
         let r = if g > 2 && !rng.chance(70) {
             rng.range_i64(1, g - 1)

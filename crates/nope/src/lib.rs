@@ -6,9 +6,10 @@
 //! nonterminal becomes a procedure, every production a non-deterministic
 //! branch, and an assertion at the end of `main` fails exactly when the
 //! chosen term satisfies the specification on all examples. The original
-//! tool hands this program to SeaHorn; this reproduction verifies it with a
-//! bounded concrete exploration plus an abstract interpretation over the
-//! interval × congruence domain (see DESIGN.md for the substitution).
+//! tool hands this program to SeaHorn; this reproduction searches it with a
+//! bounded concrete exploration and proves it safe with the `chc` crate's
+//! abstract interpretation over the interval × congruence domain (README's
+//! "Solver substitutions" explains both replacements).
 //!
 //! Compared with the grammar-flow-analysis approach of the `nay` crate, the
 //! reduction is indirect: it produces a program whose analysis rediscovers
@@ -22,8 +23,9 @@ pub mod program;
 pub mod verify;
 
 pub use program::{Procedure, ProgExpr, Program};
-pub use verify::{CheckOutcome, NopeVerdict, ProgramVerifier};
+pub use verify::{NopeVerdict, ProgramVerifier, SearchOutcome};
 
+use chc::HornSolver;
 use runner::Cancel;
 use std::time::{Duration, Instant};
 use sygus::{ExampleSet, Problem};
@@ -37,7 +39,7 @@ pub struct NopeStats {
     pub num_branches: usize,
     /// Number of call sites (encoding size).
     pub num_call_sites: usize,
-    /// Fixed-point iterations performed by the abstract interpreter
+    /// Fixed-point iterations performed by `chc`'s abstract interpreter
     /// (0 when the bounded search already decided the verdict).
     pub abstract_iterations: usize,
     /// Peak size of the bounded search's term arena (distinct terms
@@ -82,18 +84,52 @@ impl NopeSolver {
     ) -> (NopeVerdict, NopeStats) {
         let started = Instant::now();
         let program = Program::from_grammar(problem.grammar(), examples);
-        let outcome = self
-            .verifier
-            .check_instrumented(&program, examples, problem.spec(), cancel);
-        let stats = NopeStats {
+        let mut stats = NopeStats {
             num_procedures: program.procedures.len(),
             num_branches: program.num_branches(),
             num_call_sites: program.num_call_sites(),
-            abstract_iterations: outcome.abstract_iterations,
-            arena_terms: outcome.arena_terms,
-            elapsed: started.elapsed(),
+            ..NopeStats::default()
         };
-        (outcome.verdict, stats)
+        let verdict = if examples.is_empty() {
+            NopeVerdict::Unknown
+        } else {
+            self.verify(problem, &program, examples, cancel, &mut stats)
+        };
+        stats.elapsed = started.elapsed();
+        (verdict, stats)
+    }
+
+    /// The bounded search asks whether the bad location is reachable; if
+    /// it finds no good run, `chc`'s abstract interpretation of the
+    /// grammar asks whether it is provably unreachable.
+    fn verify(
+        &self,
+        problem: &Problem,
+        program: &Program,
+        examples: &ExampleSet,
+        cancel: &Cancel,
+        stats: &mut NopeStats,
+    ) -> NopeVerdict {
+        let search = self
+            .verifier
+            .bounded_search(program, examples, problem.spec(), cancel);
+        stats.arena_terms = search.arena_terms;
+        if let Some((vector, _)) = search.witness {
+            return NopeVerdict::RealizableOnExamples(vector);
+        }
+        if search.cancelled {
+            return NopeVerdict::Cancelled;
+        }
+        let horn = HornSolver::new().with_cancel(cancel);
+        let fixpoint = horn.analyze(problem.grammar(), examples);
+        stats.abstract_iterations = fixpoint.iterations;
+        if horn.refutes(&fixpoint, examples, problem.spec()) {
+            NopeVerdict::Unrealizable
+        } else if cancel.is_cancelled() {
+            NopeVerdict::Cancelled
+        } else {
+            NopeVerdict::Unknown
+        }
     }
 }
 

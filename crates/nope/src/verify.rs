@@ -3,22 +3,14 @@
 //! specification on every example) reachable?
 //!
 //! The original nope hands the program to an off-the-shelf software verifier
-//! (SeaHorn, itself built on Spacer). In this reproduction the same
-//! obligations are discharged with
-//!
-//! * an **abstract interpretation** of the program over the
-//!   interval × congruence domain of the `chc` crate (sound proofs of
-//!   unreachability, i.e. of unrealizability), and
-//! * a **bounded concrete exploration** of the program's runs, which can
-//!   find a reachable good run and hence prove realizability of `sy_E`.
-//!
-//! Both analyses operate on the program IR — the indirection through the
-//! encoding is exactly the overhead the paper observes when comparing nope
-//! against nayHorn.
+//! (SeaHorn, itself built on Spacer). In this reproduction the reachable
+//! half is a **bounded concrete exploration** of the program's runs on the
+//! program IR, which can find a reachable good run and hence prove
+//! realizability of `sy_E`. The unreachable half — a sound proof of
+//! unrealizability — is the `chc` crate's abstract interpretation, which
+//! [`crate::NopeSolver`] runs when the search finds no good run.
 
 use crate::program::{ProgExpr, Program};
-use chc::domain::{AbsBool, AbsInt, AbsValue};
-use logic::{Formula, LinearExpr, Solver, SolverResult, Var};
 use runner::Cancel;
 use std::collections::BTreeMap;
 use sygus::{ExampleSet, Op, Spec, Term, TermArena, TermId};
@@ -57,24 +49,19 @@ impl NopeVerdict {
 #[derive(Debug)]
 struct CancelledSearch;
 
-/// Everything [`ProgramVerifier::check_instrumented`] reports alongside
-/// the verdict.
+/// What [`ProgramVerifier::bounded_search`] found.
 #[derive(Clone, Debug)]
-pub struct CheckOutcome {
-    /// The combined verdict of both analyses.
-    pub verdict: NopeVerdict,
-    /// Fixed-point iterations performed by the abstract interpreter
-    /// (0 when the bounded search already decided the verdict).
-    pub abstract_iterations: usize,
-    /// Number of witness-log nodes the bounded search recorded while
-    /// exploring reachable vectors (its peak size — the log only grows;
-    /// terms are hash-consed into a [`TermArena`] only when a witness is
-    /// demanded).
+pub struct SearchOutcome {
+    /// A good run: the entry procedure's output vector, which satisfies
+    /// the specification on every example, and a term of `L(G)` producing
+    /// it.
+    pub witness: Option<(Vec<i64>, Term)>,
+    /// `true` when the search stopped on a tripped [`Cancel`] token.
+    pub cancelled: bool,
+    /// Number of witness-log nodes the search recorded while exploring
+    /// reachable vectors (its peak size — the log only grows; terms are
+    /// hash-consed into a [`TermArena`] only when a witness is demanded).
     pub arena_terms: usize,
-    /// The witness *term* behind a
-    /// [`NopeVerdict::RealizableOnExamples`] verdict: a term of `L(G)`
-    /// whose output vector satisfies the specification on every example.
-    pub witness: Option<Term>,
 }
 
 /// The sentinel "empty list" head of the [`LazyWitness::Plus`] trail.
@@ -183,13 +170,9 @@ fn log_witness(log: &mut WitnessLog, trail: &[(u32, u32)], witness: LazyWitness)
     }
 }
 
-/// Configuration of the bounded/abstract program verifier.
+/// Configuration of the bounded program search.
 #[derive(Clone, Debug)]
 pub struct ProgramVerifier {
-    /// Number of fixed-point iterations of the abstract interpreter.
-    pub max_abstract_iterations: usize,
-    /// Widening delay of the abstract interpreter.
-    pub widening_delay: usize,
     /// Unrolling depth of the bounded concrete exploration.
     pub unroll_depth: usize,
     /// Cap on the number of distinct concrete vectors tracked per procedure.
@@ -199,8 +182,6 @@ pub struct ProgramVerifier {
 impl Default for ProgramVerifier {
     fn default() -> Self {
         ProgramVerifier {
-            max_abstract_iterations: 100,
-            widening_delay: 3,
             unroll_depth: 8,
             max_vectors: 2000,
         }
@@ -213,142 +194,40 @@ impl ProgramVerifier {
         ProgramVerifier::default()
     }
 
-    /// Runs both analyses and combines their verdicts.
-    pub fn check(&self, program: &Program, examples: &ExampleSet, spec: &Spec) -> NopeVerdict {
-        self.check_counted(program, examples, spec).0
-    }
-
-    /// Like [`ProgramVerifier::check`], but also reports how many
-    /// fixed-point iterations the abstract interpreter performed (0 when
-    /// the bounded search already decided the verdict).
-    pub fn check_counted(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> (NopeVerdict, usize) {
-        self.check_cancellable(program, examples, spec, &Cancel::never())
-    }
-
-    /// [`ProgramVerifier::check_counted`] with cooperative cancellation:
-    /// the token is polled once per bounded-unrolling round and once per
-    /// abstract fixpoint iteration, so a trip is observed within one loop
-    /// iteration and the check returns [`NopeVerdict::Cancelled`].
-    pub fn check_cancellable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        cancel: &Cancel,
-    ) -> (NopeVerdict, usize) {
-        let outcome = self.check_instrumented(program, examples, spec, cancel);
-        (outcome.verdict, outcome.abstract_iterations)
-    }
-
-    /// [`ProgramVerifier::check_cancellable`] returning the full
-    /// [`CheckOutcome`]: the verdict, the fixpoint iteration count, the
-    /// bounded search's term-arena size, and (for realizable-on-examples
-    /// verdicts) the witness term the arena reconstructed.
-    pub fn check_instrumented(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        cancel: &Cancel,
-    ) -> CheckOutcome {
-        let done = |verdict, abstract_iterations, arena_terms, witness| CheckOutcome {
-            verdict,
-            abstract_iterations,
-            arena_terms,
-            witness,
-        };
-        if examples.is_empty() {
-            return done(NopeVerdict::Unknown, 0, 0, None);
-        }
-        // 1. bounded concrete exploration: can we reach the bad location?
-        let mut arena = TermArena::new();
-        let mut log = WitnessLog::default();
-        match self.bounded_search_cancellable(program, examples, spec, cancel, &mut arena, &mut log)
-        {
-            Ok(Some((witness_vector, witness_ref))) => {
-                let witness_id = log.intern_into(&mut arena, witness_ref);
-                let witness = arena.extract(witness_id);
-                return done(
-                    NopeVerdict::RealizableOnExamples(witness_vector),
-                    0,
-                    log.len(),
-                    Some(witness),
-                );
-            }
-            Ok(None) => {}
-            Err(CancelledSearch) => return done(NopeVerdict::Cancelled, 0, log.len(), None),
-        }
-        let arena_terms = log.len();
-        // 2. abstract interpretation: is the bad location provably unreachable?
-        if cancel.is_cancelled() {
-            return done(NopeVerdict::Cancelled, 0, arena_terms, None);
-        }
-        let (unreachable, iterations) =
-            self.abstract_unreachable_cancellable(program, examples, spec, cancel);
-        if cancel.is_cancelled() && !unreachable {
-            return done(NopeVerdict::Cancelled, iterations, arena_terms, None);
-        }
-        if unreachable {
-            done(NopeVerdict::Unrealizable, iterations, arena_terms, None)
-        } else {
-            done(NopeVerdict::Unknown, iterations, arena_terms, None)
-        }
-    }
-
     /// Bounded unrolling of the recursive program: computes, per procedure,
     /// the set of return vectors realizable within the unrolling depth and
-    /// checks the assertion against those of the entry procedure.
+    /// checks the assertion against those of the entry procedure. The
+    /// token is polled once per unrolling round.
     pub fn bounded_search(
         &self,
         program: &Program,
         examples: &ExampleSet,
         spec: &Spec,
-    ) -> Option<Vec<i64>> {
-        self.bounded_search_with_term(program, examples, spec)
-            .map(|(vector, _)| vector)
-    }
-
-    /// [`ProgramVerifier::bounded_search`], additionally reconstructing
-    /// the witness *term* (a member of `L(G)` realizing the good vector)
-    /// from the ids the search threads through its exploration.
-    pub fn bounded_search_with_term(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> Option<(Vec<i64>, Term)> {
+        cancel: &Cancel,
+    ) -> SearchOutcome {
         let mut arena = TermArena::new();
         let mut log = WitnessLog::default();
-        self.bounded_search_cancellable(
-            program,
-            examples,
-            spec,
-            &Cancel::never(),
-            &mut arena,
-            &mut log,
-        )
-        .expect("a never-tripped token cannot cancel")
-        .map(|(vector, r)| {
-            let id = log.intern_into(&mut arena, r);
-            (vector, arena.extract(id))
-        })
+        let found = self.search_rounds(program, examples, spec, cancel, &mut arena, &mut log);
+        SearchOutcome {
+            cancelled: found.is_err(),
+            witness: found.ok().flatten().map(|(vector, r)| {
+                let id = log.intern_into(&mut arena, r);
+                (vector, arena.extract(id))
+            }),
+            arena_terms: log.len(),
+        }
     }
 
-    /// [`ProgramVerifier::bounded_search`] polling a [`Cancel`] token once
-    /// per unrolling round; `Err(CancelledSearch)` reports an observed
-    /// trip. Every reachable vector carries the [`WitnessLog`] index of
+    /// The rounds of [`ProgramVerifier::bounded_search`];
+    /// `Err(CancelledSearch)` reports an observed trip. Every reachable
+    /// vector carries the [`WitnessLog`] index of
     /// the first term found producing it — witnesses stay
     /// [`LazyWitness`]es on the per-combination fast path, vectors
     /// surviving dedup append one log node (no hash-consing), and the
     /// arena only sees the single chain a demanded witness needs, so the
     /// vector sets (and with them every verdict) are exactly the
     /// pre-arena ones.
-    fn bounded_search_cancellable(
+    fn search_rounds(
         &self,
         program: &Program,
         examples: &ExampleSet,
@@ -566,254 +445,15 @@ impl ProgramVerifier {
             }
         }
     }
-
-    /// Abstract interpretation over intervals × congruences: returns `true`
-    /// when the bad location is provably unreachable.
-    pub fn abstract_unreachable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> bool {
-        self.abstract_unreachable_counted(program, examples, spec).0
-    }
-
-    /// Like [`ProgramVerifier::abstract_unreachable`], but also reports the
-    /// number of fixed-point iterations performed before convergence (or
-    /// the configured cap, if the iteration never stabilised).
-    pub fn abstract_unreachable_counted(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-    ) -> (bool, usize) {
-        self.abstract_unreachable_cancellable(program, examples, spec, &Cancel::never())
-    }
-
-    /// The abstract fixpoint with a [`Cancel`] token polled once per
-    /// iteration. On a trip the iteration stops where it is; the partial
-    /// result is only a *sound over-approximation so far*, so the caller
-    /// must treat a cancelled run's `false` as "no verdict", never as
-    /// "reachable".
-    fn abstract_unreachable_cancellable(
-        &self,
-        program: &Program,
-        examples: &ExampleSet,
-        spec: &Spec,
-        cancel: &Cancel,
-    ) -> (bool, usize) {
-        let n = program.procedures.len();
-        let mut values: Vec<AbsValue> = vec![AbsValue::Bottom; n];
-        let mut iterations_run = 0;
-        for iteration in 0..self.max_abstract_iterations {
-            if cancel.is_cancelled() {
-                return (false, iterations_run);
-            }
-            iterations_run = iteration + 1;
-            let mut changed = false;
-            let mut next = values.clone();
-            for (i, proc_) in program.procedures.iter().enumerate() {
-                let mut acc = AbsValue::Bottom;
-                for branch in &proc_.branches {
-                    let v = self.abstract_expr(branch, &values, program.dim);
-                    if !v.is_bottom() {
-                        acc = acc.join(&v);
-                    }
-                }
-                let new = if iteration >= self.widening_delay {
-                    values[i].widen(&acc)
-                } else if values[i].is_bottom() {
-                    acc
-                } else {
-                    values[i].join(&acc)
-                };
-                if new != values[i] {
-                    changed = true;
-                }
-                next[i] = new;
-            }
-            values = next;
-            if !changed {
-                break;
-            }
-        }
-
-        let outputs: Vec<Var> = (0..examples.len())
-            .map(|j| Var::indexed("o", j + 1))
-            .collect();
-        let gamma = match &values[program.entry] {
-            AbsValue::Bottom => return (true, iterations_run),
-            AbsValue::Int(components) => Formula::and(
-                components
-                    .iter()
-                    .enumerate()
-                    .map(|(j, a)| a.to_formula(&outputs[j], &format!("k_{j}"))),
-            ),
-            AbsValue::Bool(components) => {
-                Formula::and(components.iter().enumerate().map(|(j, b)| {
-                    let o = LinearExpr::var(outputs[j].clone());
-                    match b {
-                        AbsBool::True => Formula::eq(o, LinearExpr::constant(1)),
-                        AbsBool::False => Formula::eq(o, LinearExpr::constant(0)),
-                        AbsBool::Top => Formula::and(vec![
-                            Formula::ge(o.clone(), LinearExpr::constant(0)),
-                            Formula::le(o, LinearExpr::constant(1)),
-                        ]),
-                    }
-                }))
-            }
-        };
-        let query = Formula::and(vec![gamma, spec.conjunction_over(examples, &outputs)]);
-        (
-            matches!(Solver::default().check(&query), SolverResult::Unsat),
-            iterations_run,
-        )
-    }
-
-    fn abstract_expr(&self, expr: &ProgExpr, values: &[AbsValue], dim: usize) -> AbsValue {
-        let int = |v: &AbsValue| -> Option<Vec<AbsInt>> {
-            match v {
-                AbsValue::Int(x) => Some(x.clone()),
-                AbsValue::Bool(x) => Some(
-                    x.iter()
-                        .map(|b| match b {
-                            AbsBool::True => AbsInt::constant(1),
-                            AbsBool::False => AbsInt::constant(0),
-                            AbsBool::Top => AbsInt::constant(0).join(&AbsInt::constant(1)),
-                        })
-                        .collect(),
-                ),
-                AbsValue::Bottom => None,
-            }
-        };
-        let boolean = |v: &AbsValue| -> Option<Vec<AbsBool>> {
-            match v {
-                AbsValue::Bool(x) => Some(x.clone()),
-                AbsValue::Int(x) => Some(
-                    x.iter()
-                        .map(|a| {
-                            if a.contains(0) && !a.contains(1) {
-                                AbsBool::False
-                            } else if a.contains(1) && !a.contains(0) {
-                                AbsBool::True
-                            } else {
-                                AbsBool::Top
-                            }
-                        })
-                        .collect(),
-                ),
-                AbsValue::Bottom => None,
-            }
-        };
-        match expr {
-            ProgExpr::Const(v, _) => {
-                AbsValue::Int(v.iter().map(|&c| AbsInt::constant(c)).collect())
-            }
-            ProgExpr::Call(p) => values[*p].clone(),
-            ProgExpr::Add(xs) => {
-                let mut acc = vec![AbsInt::constant(0); dim];
-                for x in xs {
-                    let Some(v) = int(&self.abstract_expr(x, values, dim)) else {
-                        return AbsValue::Bottom;
-                    };
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a = a.add(&b);
-                    }
-                }
-                AbsValue::Int(acc)
-            }
-            ProgExpr::Sub(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Int(x.iter().zip(&y).map(|(p, q)| p.add(&q.neg())).collect())
-            }
-            ProgExpr::Ite(c, t, e) => {
-                let (Some(g), Some(tv), Some(ev)) = (
-                    boolean(&self.abstract_expr(c, values, dim)),
-                    int(&self.abstract_expr(t, values, dim)),
-                    int(&self.abstract_expr(e, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Int(
-                    (0..dim)
-                        .map(|j| match g[j] {
-                            AbsBool::True => tv[j],
-                            AbsBool::False => ev[j],
-                            AbsBool::Top => tv[j].join(&ev[j]),
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::Less(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool((0..dim).map(|j| AbsBool::less_than(&x[j], &y[j])).collect())
-            }
-            ProgExpr::Equal(a, b) => {
-                let (Some(x), Some(y)) = (
-                    int(&self.abstract_expr(a, values, dim)),
-                    int(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(
-                    (0..dim)
-                        .map(|j| {
-                            if AbsBool::less_than(&x[j], &y[j]) == AbsBool::True
-                                || AbsBool::less_than(&y[j], &x[j]) == AbsBool::True
-                            {
-                                AbsBool::False
-                            } else {
-                                AbsBool::Top
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::And(a, b) | ProgExpr::Or(a, b) => {
-                let (Some(x), Some(y)) = (
-                    boolean(&self.abstract_expr(a, values, dim)),
-                    boolean(&self.abstract_expr(b, values, dim)),
-                ) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(
-                    (0..dim)
-                        .map(|j| {
-                            if matches!(expr, ProgExpr::And(_, _)) {
-                                x[j].and(&y[j])
-                            } else {
-                                x[j].or(&y[j])
-                            }
-                        })
-                        .collect(),
-                )
-            }
-            ProgExpr::Not(a) => {
-                let Some(x) = boolean(&self.abstract_expr(a, values, dim)) else {
-                    return AbsValue::Bottom;
-                };
-                AbsValue::Bool(x.iter().map(|b| b.not()).collect())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::Program;
+    use crate::NopeSolver;
     use logic::{LinearExpr, Var};
-    use sygus::{Grammar, GrammarBuilder, Sort, Symbol};
+    use sygus::{Grammar, GrammarBuilder, Problem, Sort, Symbol};
 
     fn g1() -> Grammar {
         GrammarBuilder::new("Start")
@@ -841,8 +481,17 @@ mod tests {
     fn unreachability_proves_unrealizability() {
         let examples = ExampleSet::for_single_var("x", [1]);
         let program = Program::from_grammar(&g1(), &examples);
-        let verdict = ProgramVerifier::new().check(&program, &examples, &spec_2x_plus_2());
+        let search = ProgramVerifier::new().bounded_search(
+            &program,
+            &examples,
+            &spec_2x_plus_2(),
+            &Cancel::never(),
+        );
+        assert!(search.witness.is_none() && !search.cancelled);
+        let problem = Problem::new("g1", g1(), spec_2x_plus_2());
+        let (verdict, stats) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unrealizable);
+        assert!(stats.abstract_iterations > 0);
     }
 
     #[test]
@@ -850,9 +499,12 @@ mod tests {
         // With x = 2 the output 6 is producible (3·2), so the bad location is
         // reachable and the verifier reports the witness.
         let examples = ExampleSet::for_single_var("x", [2]);
-        let program = Program::from_grammar(&g1(), &examples);
-        match ProgramVerifier::new().check(&program, &examples, &spec_2x_plus_2()) {
-            NopeVerdict::RealizableOnExamples(witness) => assert_eq!(witness, vec![6]),
+        let problem = Problem::new("g1", g1(), spec_2x_plus_2());
+        match NopeSolver::new().check(&problem, &examples) {
+            (NopeVerdict::RealizableOnExamples(witness), stats) => {
+                assert_eq!(witness, vec![6]);
+                assert_eq!(stats.abstract_iterations, 0);
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -864,9 +516,14 @@ mod tests {
         let grammar = g1();
         let examples = ExampleSet::for_single_var("x", [2]);
         let program = Program::from_grammar(&grammar, &examples);
-        let (vector, term) = ProgramVerifier::new()
-            .bounded_search_with_term(&program, &examples, &spec_2x_plus_2())
-            .expect("x = 2 has the good run 3·2 = 6");
+        let search = ProgramVerifier::new().bounded_search(
+            &program,
+            &examples,
+            &spec_2x_plus_2(),
+            &Cancel::never(),
+        );
+        assert!(search.arena_terms > 0);
+        let (vector, term) = search.witness.expect("x = 2 has the good run 3·2 = 6");
         assert_eq!(vector, vec![6]);
         assert!(
             grammar.contains_term(&term),
@@ -874,19 +531,6 @@ mod tests {
         );
         let out = term.eval_on(&examples).unwrap();
         assert_eq!(out, sygus::Output::Int(vector));
-        // the instrumented check agrees and reports the same witness
-        let outcome = ProgramVerifier::new().check_instrumented(
-            &program,
-            &examples,
-            &spec_2x_plus_2(),
-            &Cancel::never(),
-        );
-        assert!(matches!(
-            outcome.verdict,
-            NopeVerdict::RealizableOnExamples(_)
-        ));
-        assert_eq!(outcome.witness.as_ref(), Some(&term));
-        assert!(outcome.arena_terms > 0);
     }
 
     #[test]
@@ -905,7 +549,8 @@ mod tests {
         let examples = ExampleSet::for_single_var("x", [3]);
         let program = Program::from_grammar(&grammar, &examples);
         let (vector, term) = ProgramVerifier::new()
-            .bounded_search_with_term(&program, &examples, &spec)
+            .bounded_search(&program, &examples, &spec, &Cancel::never())
+            .witness
             .expect("the constant 7 is derivable");
         assert_eq!(vector, vec![7]);
         assert!(grammar.contains_term(&term), "witness {term} not in L(G)");
@@ -944,8 +589,8 @@ mod tests {
         // prove it, and the bounded search cannot reach it either → Unknown.
         let spec = Spec::output_equals(LinearExpr::constant(6), vec!["x".to_string()]);
         let examples = ExampleSet::for_single_var("x", [0]);
-        let program = Program::from_grammar(&grammar, &examples);
-        let verdict = ProgramVerifier::new().check(&program, &examples, &spec);
+        let problem = Problem::new("ones-and-twos", grammar, spec);
+        let (verdict, _) = NopeSolver::new().check(&problem, &examples);
         assert_eq!(verdict, NopeVerdict::Unknown);
     }
 }

@@ -25,7 +25,8 @@
 //! In front of the race sits a *presolve* stage (crate `analyze`, on by
 //! default): a static analyzer that can settle a problem without running
 //! any engine — empty or exhaustively-refuted finite languages, verified
-//! finite-language witnesses, and interval/parity abstract refutations.
+//! finite-language witnesses, and abstract refutations by `chc`'s
+//! interval × congruence fixpoint.
 //! Its verdicts are sound by construction and additionally re-validated
 //! through [`analyze::Presolver::recheck`] before they are trusted, so the
 //! presolve can never flip a race verdict — it only skips engine work.

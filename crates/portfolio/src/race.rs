@@ -5,8 +5,8 @@
 //! # The presolve stage
 //!
 //! Every race starts (unless disabled via [`Portfolio::with_presolve`])
-//! with crate `analyze`'s static presolve: an interval×parity abstract
-//! interpretation plus a finite-language lane that can settle a problem
+//! with crate `analyze`'s static presolve: `chc`'s interval × congruence
+//! abstract interpretation plus a finite-language lane that can settle a problem
 //! without dispatching either engine. A definitive presolve verdict is
 //! only trusted after it passes [`Presolver::recheck`], which re-derives
 //! the proof from scratch; a verdict that fails its own recheck is

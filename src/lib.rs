@@ -13,7 +13,8 @@
 //! * [`sygus`] — terms, grammars, examples, specifications, SyGuS-IF parsing,
 //! * [`logic`] — QF-LIA formulas and the built-in solver,
 //! * [`analyze`] — static semantic analysis: well-formedness diagnostics,
-//!   grammar structure reports, and the interval/parity abstract presolve,
+//!   grammar structure reports, and the abstract presolve over `chc`'s
+//!   interval × congruence domain,
 //! * [`semilinear`] — semi-linear sets and Boolean-vector sets,
 //! * [`gfa`] — grammar-flow analysis: Newton's method, Kleene iteration,
 //!   stratification,

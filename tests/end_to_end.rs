@@ -7,7 +7,8 @@ use logic::{LinearExpr, Var};
 use nay::check::{check_unrealizable, Verdict};
 use nay::{CegisOutcome, Mode, Nay};
 use nope::{NopeSolver, NopeVerdict};
-use sygus::{parser, ExampleSet, Problem, Spec};
+use portfolio::{Portfolio, SolveVerdict};
+use sygus::{parser, ExampleSet, GrammarBuilder, Problem, Sort, Spec, Symbol};
 
 const SECTION2_LIA: &str = r#"
   (set-logic LIA)
@@ -249,4 +250,50 @@ fn spec_api_round_trip() {
         check_unrealizable(&problem, &examples, &Mode::default()).verdict,
         Verdict::Realizable
     );
+}
+
+/// `N_1 ::= N_2 + Z, …, N_100 ::= N_101 + Z`, `N_101 ::= x | N_101 + Z`,
+/// `Z ::= 0`, spec `f(x) = x`: realizable (`x + 0 + … + 0`), but `x` needs
+/// 101 Kleene rounds to reach the start symbol — one more than the
+/// abstract interpreter's cap.
+fn deep_chain_problem() -> Problem {
+    let depth = 101;
+    let name = |i: usize| format!("N{i}");
+    let mut builder = GrammarBuilder::new("N1").nonterminal("Z", Sort::Int);
+    for i in 1..=depth {
+        builder = builder.nonterminal(name(i), Sort::Int);
+    }
+    for i in 1..depth {
+        builder = builder.production(&name(i), Symbol::Plus, &[&name(i + 1), "Z"]);
+    }
+    let grammar = builder
+        .production(&name(depth), Symbol::Var("x".to_string()), &[])
+        .production(&name(depth), Symbol::Plus, &[&name(depth), "Z"])
+        .production("Z", Symbol::Num(0), &[])
+        .build()
+        .expect("well-formed chain");
+    let spec = Spec::output_equals(LinearExpr::var(Var::new("x")), vec!["x".to_string()]);
+    Problem::new("deep_chain", grammar, spec)
+}
+
+#[test]
+fn an_unconverged_fixpoint_never_proves_unrealizability() {
+    let problem = deep_chain_problem();
+    let examples = ExampleSet::for_single_var("x", [1]);
+    assert_ne!(
+        check_unrealizable(&problem, &examples, &Mode::horn()).verdict,
+        Verdict::Unrealizable,
+        "nayHorn"
+    );
+    let (nope_verdict, _) = NopeSolver::new().check(&problem, &examples);
+    assert_ne!(nope_verdict, NopeVerdict::Unrealizable, "nope");
+    for presolve in [true, false] {
+        let report = Portfolio::new().with_presolve(presolve).race(&problem);
+        assert_ne!(
+            report.verdict,
+            SolveVerdict::Unrealizable,
+            "race with presolve {presolve}: winner {:?}",
+            report.winner
+        );
+    }
 }
